@@ -14,17 +14,28 @@ Scoring (deterministic, strongest first):
 2. **description match** — half-weight Dice overlap against the description
    keyword set;
 3. **similarity fallback** — edit/prefix similarity against name tokens,
-   0.4-weight, for near-miss spellings.
+   0.55-weight, for near-miss spellings at or above ``similarity_floor``.
 
 Candidates below ``min_score`` are dropped, the rest ranked by (score desc,
 name asc) and capped at ``max_candidates``.
+
+A phrase is scored only against the APIs that can score above zero.  An
+inverted index from canonical synonym ids to the APIs whose name or
+description-keyword sets hold them yields every API with a non-zero Dice
+score.  The similarity fallback builds one table per phrase over the
+distinct name tokens and skips every pair whose length difference alone
+(:func:`length_similarity_bound`) keeps it below ``similarity_floor``;
+such a pair cannot change whether an API reaches the floor, nor the best
+pair of one that does.  Every other API scores exactly three zeros, so the
+candidates equal those of a scan over every API and every token pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.grammar.path_cache import LruCache
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlu.docs import ApiDocument
 from repro.nlu.similarity import token_similarity
@@ -34,6 +45,11 @@ from repro.nlu.synonyms import SynonymTable
 #: Auxiliary name tokens stripped from multi-token API names before
 #: comparison (they appear in nearly every predicate name).
 _GENERIC_TOKENS = frozenset({"has", "have", "is", "be"})
+
+#: Phrases memoized per matcher.  Far above the distinct lemmas of a cold
+#: pass over every suite query (226 on ASTMatcher), while bounding what a
+#: long-running server fed novel vocabulary keeps.
+PHRASE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -60,6 +76,24 @@ class MatchConfig:
     # min_score but still ranks below any real name/synonym match.
     similarity_weight: float = 0.55
     similarity_floor: float = 0.85  # token similarity needed for fallback
+
+
+def length_similarity_bound(len_a: int, len_b: int) -> float:
+    """An upper bound on :func:`~repro.nlu.similarity.token_similarity`
+    of any two tokens with these lengths, never below the float it returns.
+
+    Both of its terms are at most ``1 - gap / longest`` (``gap`` = the
+    length difference): the edit distance is at least ``gap`` and a
+    common prefix at most ``longest - gap`` long.  Each term is bounded
+    by evaluating its own formula at that extreme, because float division
+    and subtraction round monotonically; the two evaluations may differ
+    by an ulp, so the bound takes their max.
+    """
+    longest = max(len_a, len_b)
+    if longest == 0:
+        return 1.0
+    gap = abs(len_a - len_b)
+    return max(1.0 - gap / longest, (longest - gap) / longest)
 
 
 class WordToApiMatcher:
@@ -103,7 +137,23 @@ class WordToApiMatcher:
                 synonyms.canonical_set(k)
                 for k in dict.fromkeys(entry.keywords())
             )
-        self._cache: Dict[str, List[ApiCandidate]] = {}
+        # Inverted indexes: canonical id -> APIs whose name (keyword) sets
+        # hold it, raw name token -> APIs carrying it, and the distinct
+        # name tokens bucketed by length.
+        self._name_index = _invert(
+            (name, frozenset().union(*sets))
+            for name, sets in self._name_sets.items()
+        )
+        self._keyword_index = _invert(
+            (name, frozenset().union(*sets))
+            for name, sets in self._keyword_sets.items()
+        )
+        self._token_apis = _invert(self._name_raw.items())
+        by_length: Dict[int, List[str]] = {}
+        for token in self._token_apis:
+            by_length.setdefault(len(token), []).append(token)
+        self._tokens_by_length = sorted(by_length.items())
+        self._cache = LruCache(PHRASE_CACHE_SIZE)
 
     # ------------------------------------------------------------------
 
@@ -129,50 +179,84 @@ class WordToApiMatcher:
         matched_b = sum(1 for t in b_sets if any(s & t for s in a_sets))
         return (matched_a + matched_b) / (len(a_sets) + len(b_sets))
 
-    def _similarity_score(
-        self, phrase_tokens: Sequence[str], name_tokens: Sequence[str]
-    ) -> float:
-        """Best-pair token similarity, gated by the floor."""
-        best = 0.0
+    def _similarity_table(self, phrase_tokens: Sequence[str]) -> Dict[str, float]:
+        """Best token similarity per distinct name token over the phrase
+        tokens, skipping lengths whose bound is below the floor: a skipped
+        pair cannot reach it, so every value that can is exact."""
+        floor = self.config.similarity_floor
+        table: Dict[str, float] = {}
         for p in phrase_tokens:
-            for n in name_tokens:
-                best = max(best, token_similarity(p, n))
-        return best if best >= self.config.similarity_floor else 0.0
+            for length, tokens in self._tokens_by_length:
+                if length_similarity_bound(len(p), length) < floor:
+                    continue
+                for n in tokens:
+                    table[n] = max(table.get(n, 0.0), token_similarity(p, n))
+        return table
+
+    def _rank(self, phrase: str) -> List[ApiCandidate]:
+        cfg = self.config
+        phrase_raw, phrase_sets = self._phrase_views(phrase)
+        ids = frozenset().union(*phrase_sets)
+        touched = set()
+        for index in (self._name_index, self._keyword_index):
+            for c in ids:
+                touched.update(index.get(c, ()))
+        similarity = self._similarity_table(phrase_raw)
+        for token, best in similarity.items():
+            if best >= cfg.similarity_floor:
+                touched.update(self._token_apis[token])
+
+        def scored(name_score: float, desc_score: float, sim: float):
+            return max(
+                (name_score, "name"),
+                (desc_score * cfg.description_weight, "description"),
+                (sim * cfg.similarity_weight, "similarity"),
+            )
+
+        results: List[ApiCandidate] = []
+        for name in touched:
+            # The best pair of this API was not skipped if it reaches the
+            # floor, so the gate below matches a scan over every pair.
+            best = max(
+                (similarity.get(t, 0.0) for t in self._name_raw[name]),
+                default=0.0,
+            )
+            score, source = scored(
+                self._overlap_dice(phrase_sets, self._name_sets[name]),
+                self._overlap_dice(phrase_sets, self._keyword_sets[name]),
+                best if best >= cfg.similarity_floor else 0.0,
+            )
+            if score >= cfg.min_score:
+                results.append(ApiCandidate(name, round(score, 4), source))
+        # Every API outside ``touched`` scores exactly three zeros.
+        score, source = scored(0.0, 0.0, 0.0)
+        if score >= cfg.min_score:
+            results.extend(
+                ApiCandidate(name, round(score, 4), source)
+                for name in self.document.names()
+                if name not in touched
+            )
+        results.sort(key=lambda c: (-c.score, c.name))
+        return results[: cfg.max_candidates]
 
     def candidates(self, phrase: str) -> List[ApiCandidate]:
         """Ranked candidate APIs for a word or merged phrase (lemmas,
         space-separated)."""
-        cached = self._cache.get(phrase)
-        if cached is not None:
-            return list(cached)
-
-        phrase_raw, phrase_sets = self._phrase_views(phrase)
-        results: List[ApiCandidate] = []
-        for name in self.document.names():
-            name_score = self._overlap_dice(phrase_sets, self._name_sets[name])
-            desc_score = (
-                self._overlap_dice(phrase_sets, self._keyword_sets[name])
-                * self.config.description_weight
-            )
-            sim_score = (
-                self._similarity_score(phrase_raw, self._name_raw[name])
-                * self.config.similarity_weight
-            )
-            score, source = max(
-                (name_score, "name"),
-                (desc_score, "description"),
-                (sim_score, "similarity"),
-            )
-            if score >= self.config.min_score:
-                results.append(ApiCandidate(name, round(score, 4), source))
-
-        results.sort(key=lambda c: (-c.score, c.name))
-        trimmed = results[: self.config.max_candidates]
-        self._cache[phrase] = trimmed
-        return list(trimmed)
+        return list(self._cache.get_or_compute(phrase, lambda: self._rank(phrase)))
 
     def candidate_names(self, phrase: str) -> List[str]:
         return [c.name for c in self.candidates(phrase)]
+
+
+def _invert(
+    keys_by_api: Iterable[Tuple[str, Iterable[str]]]
+) -> Dict[str, Tuple[str, ...]]:
+    """Key -> the APIs whose keys include it."""
+    index: Dict[str, List[str]] = {}
+    for name, keys in keys_by_api:
+        for key in keys:
+            index.setdefault(key, []).append(name)
+    return {key: tuple(names) for key, names in index.items()}
 
 
 WordToApiMap = Dict[int, List[ApiCandidate]]
