@@ -1,10 +1,9 @@
-"""DGGT core speed: interned engine vs. the legacy object engine.
+"""DGGT core speed: cold and warm engine-core seconds of the one engine.
 
-The cross-PR perf trajectory benchmark (ROADMAP "make the DP core as fast
-as the hardware allows").  Every workload runs once per engine in a
-*fresh subprocess* — domains are per-process singletons and the interner
-memos warm monotonically, so an in-process back-to-back comparison would
-hand whichever engine runs second a hot cache.
+The DP core's perf trajectory benchmark across changes.  Every workload
+runs in a *fresh subprocess* — domains are per-process singletons and
+the interner memos warm monotonically, so an in-process rerun would be
+measuring a hot cache.
 
 Workloads:
 
@@ -16,15 +15,24 @@ Workloads:
   count grows as ``alternatives ** fanout`` per sibling group), where the
   merge loop dominates and the suites' NLU stages would only add noise.
 
+Seconds are reported twice: as measured, and at the reference host
+speed of the repo benchmark (``perfbench.common.probe`` /
+``speed_factor``), from calibration loops timed in a separate process
+right before each worker starts and right after it exits.  The
+reference seconds are what the gate compares, so a slower or busier
+host does not read as a regression.
+
 Modes (``REPRO_CORE_BENCH``):
 
-* ``smoke`` (default) — the pinned smoke subset only; compares the
-  measured interned-vs-object speedup against the committed
-  ``BENCH_dggt_core.json`` baseline and fails on a >25% cold-path
-  regression.  Ratios, not absolute seconds, so the check is
-  machine-independent (both engines run on the same host).
-* ``full`` — every workload; rewrites the tracked ``BENCH_dggt_core.json``
-  at the repo root and asserts the suite-wide cold-path speedup floor.
+* ``smoke`` (default) — the pinned smoke subset only, ``SMOKE_RUNS``
+  times; each workload counts with its fastest run.  Fails when the
+  reference core seconds exceed the committed ``BENCH_dggt_core.json``
+  baseline by more than 25 %, or when any DGGT counter differs from the
+  baseline's (a counter drift means the engine did different work, so
+  the seconds would compare different things).
+* ``full`` — every workload once, then ``SMOKE_BASELINE_RUNS`` smoke
+  measurements whose median becomes the smoke baseline; rewrites the
+  tracked ``BENCH_dggt_core.json`` at the repo root.
 
 Run directly (``python benchmarks/test_dggt_core_speed.py '<spec-json>'``)
 this file is its own subprocess worker.
@@ -34,17 +42,20 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from perfbench.common import percentile, probe, speed_factor, stop_prober
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_dggt_core.json"
-SCHEMA = "dggt-core-speed/v1"
+SCHEMA = "dggt-core-speed/v2"
 
-#: Stages attributable to the DGGT engine core (the tentpole's hot path);
-#: parse/prune/word-to-API are shared NLU front-end work.
+#: Stages attributable to the DGGT engine core; parse/prune/word-to-API
+#: are shared NLU front-end work.
 CORE_STAGES = ("edge_to_path", "merge")
 
 COUNTER_FIELDS = (
@@ -65,7 +76,7 @@ FULL_WORKLOADS = {
 }
 
 #: Pinned CI smoke subset: a search-heavy suite slice plus the smallest
-#: merge-stress point — seconds per engine, not minutes.
+#: merge-stress point — seconds, not minutes.
 SMOKE_WORKLOADS = {
     "astmatcher_head15": {"kind": "suite", "domain": "astmatcher", "limit": 15},
     "merge_stress_3x3x4": {"kind": "synthetic", "levels": 3, "fanout": 3, "alternatives": 4},
@@ -73,25 +84,30 @@ SMOKE_WORKLOADS = {
 
 WARM_ROUNDS = 3
 SMOKE_MAX_REGRESSION = 1.25
-FULL_MIN_SPEEDUP = 4.0  # assertion floor; the committed JSON records ~5x
-FULL_MAX_WARM_RATIO = 1.25  # warm walls are milliseconds; allow scheduler noise
+#: Fresh-process runs per smoke workload.  On a shared 2-vCPU host,
+#: fifteen single cold runs of the smoke subset read from -19 % to +19 %
+#: of their median even at reference speed; five fastest-of-three
+#: measurements, from -7 % to +13 %.
+SMOKE_RUNS = 3
+#: Smoke measurements behind the committed baseline (their median), so
+#: that a baseline taken at a fast moment does not make the gate fail
+#: on ordinary runs.
+SMOKE_BASELINE_RUNS = 5
+#: Calibration probes taken right before and right after each worker.
+#: One probe (the fastest of three loops, as the repo benchmark takes
+#: it) varies by ~20 % from probe to probe even on an idle 2-vCPU host;
+#: the speed factor averages all of them.
+CALIBRATION_PROBES = 5
 
 
 # ----------------------------------------------------------------------
-# Subprocess worker: one (engine, workload) measurement per process.
+# Subprocess worker: one workload measurement per process.
 # ----------------------------------------------------------------------
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
-
 
 def _per_query_summary(values):
     return {
-        "p50": _percentile(values, 0.50),
-        "p99": _percentile(values, 0.99),
+        "p50": percentile(values, 50),
+        "p99": percentile(values, 99),
         "total": sum(values),
     }
 
@@ -106,8 +122,7 @@ def _sum_counters(stats_list):
     return out
 
 
-def _worker_suite(impl, spec):
-    from repro.core.dggt import DggtConfig
+def _worker_suite(spec):
     from repro.domains.astmatcher import build_domain as build_astmatcher
     from repro.domains.astmatcher.queries import ASTMATCHER_QUERIES
     from repro.domains.textediting import build_domain as build_textediting
@@ -122,12 +137,11 @@ def _worker_suite(impl, spec):
     if limit:
         cases = cases[:limit]
     domain = build()
-    config = DggtConfig(interned=(impl == "interned"))
 
     def sweep():
         started = time.perf_counter()
         results = run_dataset(
-            domain, cases, engine="dggt", config=config,
+            domain, cases, engine="dggt",
             timeout_seconds=120.0, collect_trace=True,
         )
         wall = time.perf_counter() - started
@@ -161,16 +175,15 @@ def _worker_suite(impl, spec):
     }
 
 
-def _worker_synthetic(impl, spec):
-    from repro.core.dggt import DggtConfig, DggtEngine
+def _worker_synthetic(spec):
+    from repro.core.dggt import DggtEngine
     from repro.eval.synthetic import make_synthetic_domain, make_synthetic_problem
 
     shape = (spec["levels"], spec["fanout"], spec["alternatives"])
     domain = make_synthetic_domain(*shape)
     problem = make_synthetic_problem(domain, *shape)
-    engine = DggtEngine(DggtConfig(interned=(impl == "interned")))
     started = time.perf_counter()
-    out = engine.synthesize(problem)
+    out = DggtEngine().synthesize(problem)
     cold = time.perf_counter() - started
     return {
         "n_queries": 1,
@@ -185,111 +198,100 @@ def _worker_synthetic(impl, spec):
 
 def _worker_main(raw_spec):
     spec = json.loads(raw_spec)
-    impl = spec["impl"]
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    if impl == "object":
-        from repro.grammar.paths import set_search_impl
-
-        set_search_impl("object")
     runner = _worker_suite if spec["kind"] == "suite" else _worker_synthetic
-    print(json.dumps(runner(impl, spec)))
+    print(json.dumps(runner(spec)))
 
 
 # ----------------------------------------------------------------------
 # Orchestration (the pytest side).
 # ----------------------------------------------------------------------
 
-def _measure(name, spec, impl):
-    payload = dict(spec, impl=impl)
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+def _measure(name, spec):
+    """One fresh-process run, with the core seconds also expressed at
+    the reference host speed (probed while no worker runs)."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    )
+    before = [probe() for _ in range(CALIBRATION_PROBES)]
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), json.dumps(payload)],
+        [sys.executable, str(Path(__file__).resolve()), json.dumps(spec)],
         capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
         timeout=1800,
     )
+    after = [probe() for _ in range(CALIBRATION_PROBES)]
     assert proc.returncode == 0, (
-        f"{name}/{impl} worker failed:\n{proc.stdout}\n{proc.stderr}"
+        f"{name} worker failed:\n{proc.stdout}\n{proc.stderr}"
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    factor = speed_factor(*before, *after)
+    result["speed_factor"] = factor
+    result["core_cold_ref_seconds"] = result["core_cold_seconds"] * factor
+    return result
 
 
 def _run_workloads(workloads):
-    report = {}
-    for name, spec in workloads.items():
-        per_engine = {}
-        for impl in ("object", "interned"):
-            per_engine[impl] = _measure(name, spec, impl)
-        # The engines must have walked the same search space — a counter
-        # drift here means the speedup below compares different work.
-        assert (
-            per_engine["object"]["counters"] == per_engine["interned"]["counters"]
-        ), f"{name}: engine counters diverged"
-        entry = dict(spec)
-        entry["object"] = per_engine["object"]
-        entry["interned"] = per_engine["interned"]
-        entry["speedup_cold"] = (
-            per_engine["object"]["core_cold_seconds"]
-            / max(per_engine["interned"]["core_cold_seconds"], 1e-9)
-        )
-        report[name] = entry
-    return report
+    return {name: dict(spec, **_measure(name, spec))
+            for name, spec in workloads.items()}
 
 
-def _aggregate(report):
-    object_cold = sum(w["object"]["core_cold_seconds"] for w in report.values())
-    interned_cold = sum(w["interned"]["core_cold_seconds"] for w in report.values())
-    warm_pairs = [
-        (w["object"]["wall_warm_seconds"], w["interned"]["wall_warm_seconds"])
-        for w in report.values()
-        if "wall_warm_seconds" in w["object"]
-    ]
-    object_warm = sum(pair[0] for pair in warm_pairs)
-    interned_warm = sum(pair[1] for pair in warm_pairs)
+def _smoke():
+    """The smoke subset, ``SMOKE_RUNS`` times: reference core seconds
+    summed over workloads, each at its fastest run, plus the counters
+    (which every run must agree on)."""
+    runs = [_run_workloads(SMOKE_WORKLOADS) for _ in range(SMOKE_RUNS)]
+    counters = [{name: w["counters"] for name, w in run.items()} for run in runs]
+    assert all(c == counters[0] for c in counters), counters
     return {
-        "object_core_cold_seconds": object_cold,
-        "interned_core_cold_seconds": interned_cold,
-        "suite_wide_cold_speedup": object_cold / max(interned_cold, 1e-9),
-        "object_wall_warm_seconds": object_warm,
-        "interned_wall_warm_seconds": interned_warm,
-        "warm_ratio": interned_warm / max(object_warm, 1e-9),
+        "core_cold_ref_seconds": sum(
+            min(run[name]["core_cold_ref_seconds"] for run in runs)
+            for name in SMOKE_WORKLOADS
+        ),
+        "run_ref_seconds": [
+            sum(w["core_cold_ref_seconds"] for w in run.values())
+            for run in runs
+        ],
+        "counters": counters[0],
     }
 
 
 def test_dggt_core_speed():
-    mode = os.environ.get("REPRO_CORE_BENCH", "smoke")
+    try:
+        _check_or_record(os.environ.get("REPRO_CORE_BENCH", "smoke"))
+    finally:
+        stop_prober()
+
+
+def _check_or_record(mode):
     if mode == "full":
         report = _run_workloads(FULL_WORKLOADS)
-        aggregate = _aggregate(report)
-        smoke = _run_workloads(SMOKE_WORKLOADS)
-        smoke_cold = {
-            "object_core_cold_seconds": sum(
-                w["object"]["core_cold_seconds"] for w in smoke.values()
-            ),
-            "interned_core_cold_seconds": sum(
-                w["interned"]["core_cold_seconds"] for w in smoke.values()
-            ),
+        aggregate = {
+            key: sum(w[key] for w in report.values())
+            for key in ("core_cold_seconds", "core_cold_ref_seconds")
         }
-        smoke_cold["suite_wide_cold_speedup"] = (
-            smoke_cold["object_core_cold_seconds"]
-            / max(smoke_cold["interned_core_cold_seconds"], 1e-9)
+        aggregate["wall_warm_seconds"] = sum(
+            w["wall_warm_seconds"] for w in report.values()
+            if "wall_warm_seconds" in w
         )
+        smokes = [_smoke() for _ in range(SMOKE_BASELINE_RUNS)]
+        assert all(m["counters"] == smokes[0]["counters"] for m in smokes)
+        measurements = [m["core_cold_ref_seconds"] for m in smokes]
+        smoke_baseline = {
+            "core_cold_ref_seconds": statistics.median(measurements),
+            "measurements": measurements,
+            "counters": smokes[0]["counters"],
+        }
         payload = {
             "schema": SCHEMA,
             "core_stages": list(CORE_STAGES),
             "workloads": report,
             "aggregate": aggregate,
-            "smoke_baseline": smoke_cold,
+            "smoke_baseline": smoke_baseline,
         }
         BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print()
-        print(json.dumps({"aggregate": aggregate, "smoke_baseline": smoke_cold}, indent=2))
-        assert aggregate["suite_wide_cold_speedup"] >= FULL_MIN_SPEEDUP, (
-            f"suite-wide cold speedup {aggregate['suite_wide_cold_speedup']:.2f}x "
-            f"below the {FULL_MIN_SPEEDUP}x floor"
-        )
-        assert aggregate["warm_ratio"] <= FULL_MAX_WARM_RATIO, (
-            f"interned warm path {aggregate['warm_ratio']:.2f}x slower than legacy"
-        )
+        print(json.dumps({"aggregate": aggregate, "smoke_baseline": smoke_baseline},
+                         indent=2))
         return
 
     baseline = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
@@ -297,21 +299,25 @@ def test_dggt_core_speed():
         f"unrecognized baseline schema in {BENCH_PATH}; regenerate with "
         "REPRO_CORE_BENCH=full"
     )
-    baseline_speedup = baseline["smoke_baseline"]["suite_wide_cold_speedup"]
-    smoke = _run_workloads(SMOKE_WORKLOADS)
-    object_cold = sum(w["object"]["core_cold_seconds"] for w in smoke.values())
-    interned_cold = sum(w["interned"]["core_cold_seconds"] for w in smoke.values())
-    measured = object_cold / max(interned_cold, 1e-9)
+    committed = baseline["smoke_baseline"]
+    measured = _smoke()
     summary = {
-        "baseline_smoke_speedup": baseline_speedup,
-        "measured_smoke_speedup": measured,
+        "baseline_smoke_ref_seconds": committed["core_cold_ref_seconds"],
+        "measured_smoke_ref_seconds": measured["core_cold_ref_seconds"],
+        "measured_run_ref_seconds": measured["run_ref_seconds"],
         "max_regression": SMOKE_MAX_REGRESSION,
     }
     print()
     print(json.dumps(summary, indent=2))
-    assert measured >= baseline_speedup / SMOKE_MAX_REGRESSION, (
-        f"cold-path speedup regressed >25%: measured {measured:.2f}x vs "
-        f"committed baseline {baseline_speedup:.2f}x"
+    assert measured["counters"] == committed["counters"], (
+        "DGGT counters differ from the committed baseline: "
+        f"{measured['counters']} vs {committed['counters']}"
+    )
+    limit = committed["core_cold_ref_seconds"] * SMOKE_MAX_REGRESSION
+    assert measured["core_cold_ref_seconds"] <= limit, (
+        f"cold core regressed >25%: {measured['core_cold_ref_seconds']:.3f} s "
+        f"vs committed baseline {committed['core_cold_ref_seconds']:.3f} s "
+        "(reference host speed)"
     )
 
 

@@ -1,9 +1,9 @@
 """Version-compatibility helpers.
 
 CI exercises the suite on Python 3.9 and 3.12.  ``dataclass(slots=True)``
-arrived in 3.10, so the hot-path records (``DynNode``, ``CandidatePath``,
-``EndpointCandidate``, ``SizedCombination``) use :func:`slotted_dataclass`:
-a slotted dataclass where the runtime supports it, a plain one otherwise.
+arrived in 3.10, so the hot-path records (``CandidatePath``,
+``EndpointCandidate``) use :func:`slotted_dataclass`: a slotted dataclass
+where the runtime supports it, a plain one otherwise.
 Frozen slotted dataclasses pickle correctly on 3.10+ (the generated
 ``__getstate__``/``__setstate__`` pair uses ``object.__setattr__``), which
 is what keeps them usable across the process-pool backend.

@@ -2,7 +2,7 @@
 
 from repro.core.cgt import CGT
 from repro.core.dggt import DggtConfig, DggtEngine
-from repro.core.dynamic_graph import VIRTUAL, DynamicGrammarGraph, DynNode
+from repro.core.dynamic_graph import VIRTUAL
 from repro.core.expression import (
     Expr,
     cgt_to_expression,
@@ -11,25 +11,12 @@ from repro.core.expression import (
     parse_expression,
     validate_expression,
 )
-from repro.core.grammar_pruning import (
-    combination_conflicts,
-    conflict_pairs_for,
-    prune_combinations,
-)
 from repro.core.orphan import candidate_governors, relocation_variants
-from repro.core.size_pruning import (
-    SizedCombination,
-    bound_combination,
-    exact_tree_cost,
-    prune_by_size,
-)
 
 __all__ = [
     "CGT",
     "DggtEngine",
     "DggtConfig",
-    "DynamicGrammarGraph",
-    "DynNode",
     "VIRTUAL",
     "Expr",
     "cgt_to_expression",
@@ -37,13 +24,6 @@ __all__ = [
     "normalize_codelet",
     "validate_expression",
     "direct_api_children",
-    "conflict_pairs_for",
-    "combination_conflicts",
-    "prune_combinations",
     "relocation_variants",
     "candidate_governors",
-    "SizedCombination",
-    "bound_combination",
-    "prune_by_size",
-    "exact_tree_cost",
 ]

@@ -8,7 +8,9 @@ Node kinds map one-to-one to the paper's:
   keying by the dependency node too is the same structure, made safe for
   queries where two words map to the same API;
 * ``N_PCGT`` — one node per surviving path combination of a sibling-edge
-  group (the ellipses of Fig. 5).
+  group (the ellipses of Fig. 5).  A PCGT node is only ever read through
+  its auxiliary edge to the combination's root API, so the table counts
+  them (``n_pcgt_nodes``) and offers straight to that API node.
 
 Every node carries the paper's two memo fields: ``min_size`` (size of the
 optimal partial CGT from the start to this node) and ``min_cgt`` (the
@@ -17,254 +19,29 @@ bindings).  Updates keep the lexicographically smallest edge set among
 equal-size options so DGGT's tie-breaking matches the baseline's.
 
 Edge kinds (path edges carrying grammar-path ids, zero-length auxiliary
-edges) exist implicitly in the provenance recorded per offer; the
-explicit backtrack of Algorithm 1's last line is trivial here because each
-node memoizes its full optimal partial CGT.
+edges) exist implicitly in the offers; the explicit backtrack of
+Algorithm 1's last line is trivial here because each node memoizes its
+full optimal partial CGT.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.compat import slotted_dataclass
-from repro.core.cgt import merge_bindings
 from repro.errors import SynthesisError
-from repro.grammar.graph import GrammarGraph
 from repro.grammar.interning import GraphInterner
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
 
 Edge = Tuple[str, str]
-DynKey = Tuple[int, str]
 
 #: Dependency-node id of the virtual governor (the paper's start node).
 VIRTUAL = -1
 
 
-@slotted_dataclass()
-class DynNode:
-    """One dynamic-grammar-graph node with its memo fields.
-
-    ``min_rank`` is the summed Step-3 rank of the endpoints chosen in the
-    optimal partial CGT — the secondary objective after size, so that among
-    equally small trees the better-matching APIs win deterministically.
-    Slotted: the legacy engine allocates one per offer.
-    """
-
-    key: DynKey
-    kind: str  # "start" | "api" | "literal" | "pcgt"
-    min_size: int
-    min_rank: int
-    min_edges: FrozenSet[Edge]
-    min_bindings: Mapping[str, str]
-    provenance: str = ""
-
-    def tie_key(self) -> Tuple[int, int, int, Tuple[Edge, ...]]:
-        return (
-            self.min_size,
-            self.min_rank,
-            len(self.min_edges),
-            tuple(sorted(self.min_edges)),
-        )
-
-
-class DynamicGrammarGraph:
-    """Memo table for optimal partial CGTs, built bottom-up by DGGT."""
-
-    def __init__(self, graph: GrammarGraph):
-        self.graph = graph
-        self._nodes: Dict[DynKey, DynNode] = {}
-        self._pcgt_counter = 0
-        self.n_pcgt_nodes = 0
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-
-    def has(self, key: DynKey) -> bool:
-        return key in self._nodes
-
-    def node(self, key: DynKey) -> DynNode:
-        try:
-            return self._nodes[key]
-        except KeyError:
-            raise SynthesisError(f"no dynamic-graph node {key!r}") from None
-
-    def min_size(self, key: DynKey) -> int:
-        return self.node(key).min_size
-
-    def keys(self) -> List[DynKey]:
-        return list(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-
-    def _offer(
-        self,
-        key: DynKey,
-        kind: str,
-        size: int,
-        rank: int,
-        edges: FrozenSet[Edge],
-        bindings: Mapping[str, str],
-        provenance: str,
-    ) -> None:
-        """Install (size, rank, partial CGT) at ``key`` if it beats the memo."""
-        candidate = DynNode(key, kind, size, rank, edges, dict(bindings), provenance)
-        current = self._nodes.get(key)
-        if current is None or candidate.tie_key() < current.tie_key():
-            self._nodes[key] = candidate
-
-    def _partial_valid(self, edges: FrozenSet[Edge], root_id: str) -> bool:
-        """A partial CGT must itself be a tree rooted at ``root_id`` with no
-        "or" conflicts.  Joining a level's paths with memoized subtrees can
-        violate this through *cross-level prefix overlap* (the pathology
-        Sec. V-B discusses); rejecting the join here lets the next-best
-        option win instead of poisoning the memo."""
-        if not edges:
-            return True
-        parents: Dict[str, int] = {}
-        children: Dict[str, List[str]] = {}
-        for src, dst in edges:
-            parents[dst] = parents.get(dst, 0) + 1
-            if parents[dst] > 1:
-                return False
-            children.setdefault(src, []).append(dst)
-        if root_id in parents:
-            return False
-        groups = self.graph.or_group_map
-        for nt_id, kids in children.items():
-            alternatives = groups.get(nt_id)
-            if alternatives is None or len(kids) < 2:
-                continue
-            taken = sum(1 for k in kids if k in alternatives)
-            if taken >= 2:
-                return False
-        return True
-
-    def add_leaf(self, dep_id: int, candidate: EndpointCandidate) -> DynKey:
-        """A leaf word's endpoint: size 1 for an API, 0 for a literal slot
-        (the paper omits the fields of min_size-0 nodes in Fig. 5)."""
-        key = (dep_id, candidate.node_id)
-        kind = "literal" if candidate.is_literal else "api"
-        # An endpoint a query word resolved to always weighs 1 — only
-        # *unmentioned* interior generics are free.
-        size = 0 if candidate.is_literal else 1
-        self._offer(key, kind, size, candidate.rank, frozenset(), {}, "leaf")
-        return key
-
-    def offer_path(
-        self,
-        gov_dep_id: int,
-        cp: CandidatePath,
-        pred_key: DynKey,
-    ) -> Optional[DynKey]:
-        """Case I (Algorithm 1 lines 5-11): extend the predecessor's optimal
-        partial CGT with one grammar path.  Returns ``None`` (no update) on
-        a literal-binding conflict."""
-        pred = self.node(pred_key)
-        size = cp.path.size(self.graph) + pred.min_size
-        rank = cp.src_candidate.rank + pred.min_rank
-        edges = pred.min_edges | frozenset(cp.path.edges())
-        bound = cp.binding()
-        bindings = merge_bindings(
-            pred.min_bindings, {bound[0]: bound[1]} if bound else {}
-        )
-        if bindings is None:
-            return None
-        if not self._partial_valid(edges, cp.src):
-            return None
-        key = (gov_dep_id, cp.src)
-        self._offer(key, "api", size, rank, edges, bindings, f"path {cp.path_id}")
-        return key
-
-    def add_pcgt(
-        self,
-        gov_dep_id: int,
-        src_node_id: str,
-        combo: Sequence[CandidatePath],
-        leaf_keys: Sequence[DynKey],
-        tree_cost: int,
-        gov_rank: int = 0,
-    ) -> Optional[DynKey]:
-        """Case II (lines 13-22): a partial-CGT node for one surviving
-        combination, then an auxiliary edge to the combination's root API.
-        Returns ``None`` (no node) on a literal-binding conflict."""
-        tree_edges: set = set()
-        bindings: Optional[Dict[str, str]] = {}
-        for cp in combo:
-            tree_edges.update(cp.path.edges())
-            bound = cp.binding()
-            if bound is not None:
-                bindings = merge_bindings(bindings, {bound[0]: bound[1]})
-                if bindings is None:
-                    return None
-        total = tree_cost
-        total_rank = gov_rank
-        for leaf in leaf_keys:
-            pred = self.node(leaf)
-            total += pred.min_size
-            total_rank += pred.min_rank
-            tree_edges.update(pred.min_edges)
-            bindings = merge_bindings(bindings, pred.min_bindings)
-            if bindings is None:
-                return None
-
-        if not self._partial_valid(frozenset(tree_edges), src_node_id):
-            return None
-        self._pcgt_counter += 1
-        self.n_pcgt_nodes += 1
-        pcgt_key = (gov_dep_id, f"pcgt:{self._pcgt_counter}")
-        combo_ids = ",".join(cp.path_id for cp in combo)
-        frozen = frozenset(tree_edges)
-        self._offer(
-            pcgt_key, "pcgt", total, total_rank, frozen, bindings,
-            f"combo {combo_ids}",
-        )
-        # Auxiliary edge: the PCGT feeds its root API's endpoint node.
-        self._offer(
-            (gov_dep_id, src_node_id),
-            "api",
-            total,
-            total_rank,
-            frozen,
-            bindings,
-            f"pcgt {combo_ids}",
-        )
-        return pcgt_key
-
-    # ------------------------------------------------------------------
-    # Result extraction (the backtrack of Algorithm 1 line 23)
-    # ------------------------------------------------------------------
-
-    def optimal(
-        self, key: DynKey
-    ) -> Tuple[FrozenSet[Edge], Dict[str, str], int, int]:
-        """(edges, bindings, min_size, min_rank) of the optimal partial CGT
-        at ``key``."""
-        node = self.node(key)
-        return node.min_edges, dict(node.min_bindings), node.min_size, node.min_rank
-
-    def describe(self) -> str:
-        lines = []
-        for key in sorted(self._nodes, key=str):
-            node = self._nodes[key]
-            lines.append(
-                f"{key}: kind={node.kind} min_size={node.min_size} "
-                f"({node.provenance})"
-            )
-        return "\n".join(lines)
-
-
 class InternedDynamicGraph:
-    """Flat-array memo table for the interned DGGT engine.
+    """Flat-array memo table of the DGGT engine.
 
-    The legacy :class:`DynamicGrammarGraph` keys a dict of :class:`DynNode`
-    objects by ``(dep id, node-id string)`` and re-sorts string edge sets
-    on every tie comparison.  Here a ``DynKey`` interns to a single int —
+    A node key ``(dep id, grammar node)`` interns to a single int —
     ``(dep_id + 1) * n + node_int`` (``+1`` folds ``VIRTUAL == -1`` into
     slot 0) — mapping to a *slot* in parallel arrays:
 
@@ -274,16 +51,16 @@ class InternedDynamicGraph:
                           bitmask algebra (edges / children / taken choice
                           non-terminals).  Edge unions are single bigint
                           ORs and validity checks are popcounts; the
-                          sorted edge-code tuple the legacy tie-break
+                          sorted edge-code tuple the final tie-break
                           compares is only materialized on a full
                           (size, rank, edge count) tie, which is rare.
     ``_bind``             literal bindings keyed by interned node int.
                           Binding dicts are treated as immutable and
                           shared between slots when a merge adds nothing.
 
-    PCGT nodes are *counted* (``n_pcgt_nodes``) but not stored: the legacy
-    engine keys each one uniquely, so the stored node never participates
-    in another offer — only its auxiliary edge to the root API does.
+    PCGT nodes are *counted* (``n_pcgt_nodes``) but not stored: each one
+    is unique to its combination, so it never participates in another
+    offer — only its auxiliary edge to the root API does.
     """
 
     __slots__ = (
@@ -375,10 +152,11 @@ class InternedDynamicGraph:
         bindings: Dict[int, str],
     ) -> None:
         """Install (size, rank, partial CGT) at ``key_int`` if it beats
-        the memo — the legacy ``tie_key`` comparison with the cheap
-        components decided first.  Edge counts come from popcounts; the
-        sorted-tuple comparison (int-code order == string edge-pair
-        order) only happens on a full tie between distinct edge sets."""
+        the memo: smaller size, then smaller rank, then fewer edges, then
+        the lexicographically smaller sorted edge set.  Edge counts come
+        from popcounts; the sorted-tuple comparison (int-code order ==
+        string edge-pair order) only happens on a full tie between
+        distinct edge sets."""
         slot = self._slot.get(key_int)
         if slot is None:
             self._slot[key_int] = len(self._size)
@@ -416,10 +194,15 @@ class InternedDynamicGraph:
         self._bind[slot] = bindings
 
     def partial_valid(self, emask: int, dmask: int, onmask: int, root_int: int) -> bool:
-        """The legacy ``_partial_valid`` in the bitmask algebra: a partial
-        CGT must have one parent per child (``|edges| == |children|`` —
-        any doubled child makes the edge count exceed the distinct-child
-        count), must not make the root a child, and may take at most one
+        """Is a partial CGT a tree rooted at ``root_int`` with no "or"
+        conflicts?  Joining a level's paths with memoized subtrees can
+        violate this through *cross-level prefix overlap* (the pathology
+        Sec. V-B discusses); rejecting the join lets the next-best option
+        win instead of poisoning the memo.
+
+        In the bitmask algebra: one parent per child (``|edges| ==
+        |children|`` — any doubled child makes the edge count exceed the
+        distinct-child count), the root is not a child, and at most one
         alternative per choice non-terminal (a second taken or-edge under
         one non-terminal raises the or-edge popcount above the taken
         non-terminal popcount)."""
@@ -434,9 +217,10 @@ class InternedDynamicGraph:
 
     def add_leaf(self, dep_id: int, candidate: EndpointCandidate) -> None:
         """A leaf word's endpoint: size 1 for an API, 0 for a literal
-        slot.  Endpoints outside the grammar are skipped — they could
-        never be a path's sink, so the legacy node they would create is
-        unreachable."""
+        slot (the paper omits the fields of min_size-0 nodes in Fig. 5).
+        An endpoint a query word resolved to always weighs 1 — only
+        *unmentioned* interior generics are free.  Endpoints outside the
+        grammar are skipped: they can never be a path's sink."""
         node_int = self.interner.index.get(candidate.node_id)
         if node_int is None:
             return
@@ -458,9 +242,9 @@ class InternedDynamicGraph:
         enc: Tuple[int, ...],
         pred_slot: int,
     ) -> None:
-        """Case I in int space: extend the predecessor slot's optimal
-        partial CGT with one grammar path (no update on a literal-binding
-        conflict or an invalid join, exactly like the legacy path)."""
+        """Case I (Algorithm 1 lines 5-11): extend the predecessor slot's
+        optimal partial CGT with one grammar path (no update on a
+        literal-binding conflict or an invalid join)."""
         interner = self.interner
         size = interner.size_of_enc(enc) + self._size[pred_slot]
         rank = cp.src_candidate.rank + self._rank[pred_slot]
@@ -505,13 +289,13 @@ class InternedDynamicGraph:
         tree_cost: int,
         gov_rank: int,
     ) -> bool:
-        """Case II in int space: one surviving combination joined with its
-        memoized subtrees, offered along the auxiliary edge to the root
-        API.  ``path_masks`` is the combination's already-folded
-        ``(em, dm, onm)`` — the caller has the per-path masks in hand from
-        its merge-validity check, so refolding here would be pure waste.
-        Returns False (no node) on a binding conflict or an invalid
-        join — the same short-circuit order as the legacy version."""
+        """Case II (Algorithm 1 lines 13-22): one surviving combination
+        joined with its memoized subtrees, offered along the auxiliary
+        edge to the root API.  ``path_masks`` is the combination's
+        already-folded ``(em, dm, onm)`` — the caller has the per-path
+        masks in hand from its merge-validity check, so refolding here
+        would be pure waste.  Returns False (no node) on a binding
+        conflict or an invalid join."""
         interner = self.interner
         em, dm, onm = path_masks
         bindings: Dict[int, str] = {}

@@ -10,39 +10,19 @@ The implementation follows the paper's recipe: merge the candidate paths of
 the sibling edges into an all-path prefix structure recording path ids per
 edge (that is the :class:`~repro.grammar.path_voted.PathVotedGraph`), find
 the conflict "or" edges, expand them into conflict path pairs, and filter
-the combinations.
+the combinations.  The engine runs the same analysis over interned path
+encodings (:func:`~repro.grammar.path_voted.conflict_enc_pairs`) and
+filters with one ``(bit, mask)`` record per path.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.grammar.graph import GrammarGraph
 from repro.grammar.interning import IntPath, interner_for
 from repro.grammar.path_cache import PathCache
-from repro.grammar.path_voted import (
-    PathVotedGraph,
-    conflict_enc_pairs,
-    conflict_mask_records,
-)
-from repro.synthesis.problem import CandidatePath
-
-
-def conflict_pairs_for(
-    graph: GrammarGraph,
-    candidate_paths: Iterable[CandidatePath],
-    cache: Optional[PathCache] = None,
-) -> Set[FrozenSet[str]]:
-    """All conflict path pairs among the given candidate paths.
-
-    With a domain :class:`PathCache`, the vote analysis is memoized across
-    queries (keyed by the paths' node sequences, since path ids are
-    query-local labels).
-    """
-    if cache is not None:
-        return cache.conflict_pairs([cp.path for cp in candidate_paths])
-    voted = PathVotedGraph(graph, (cp.path for cp in candidate_paths))
-    return voted.conflict_path_pairs()
+from repro.grammar.path_voted import conflict_enc_pairs, conflict_mask_records
 
 
 def conflict_masks_for(
@@ -50,52 +30,11 @@ def conflict_masks_for(
     encs: Sequence[IntPath],
     cache: Optional[PathCache] = None,
 ) -> List[Tuple[int, int]]:
-    """Per-path ``(bit, mask)`` conflict records for interned encodings —
-    the bitmask form of :func:`conflict_pairs_for` the interned engine
-    consumes.  A combination conflicts iff, scanning members while
-    accumulating bits, a member's mask intersects the accumulated set.
-    With a domain :class:`PathCache`, the pair analysis shares the
-    conflicts layer with the legacy engine."""
+    """Per-path ``(bit, mask)`` conflict records for interned encodings.
+    A combination conflicts iff, scanning members while accumulating
+    bits, a member's mask intersects the accumulated set.  With a domain
+    :class:`PathCache`, the pair analysis is memoized across queries."""
     if cache is not None:
         return cache.conflict_masks(encs)
     pairs = conflict_enc_pairs(interner_for(graph), set(encs))
     return conflict_mask_records(encs, pairs)
-
-
-def combination_conflicts(
-    combo_ids: Sequence[str],
-    pairs: Set[FrozenSet[str]],
-) -> bool:
-    """True when the combination contains any conflict pair."""
-    n = len(combo_ids)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if frozenset((combo_ids[i], combo_ids[j])) in pairs:
-                return True
-    return False
-
-
-def prune_combinations(
-    graph: GrammarGraph,
-    all_paths: Sequence[CandidatePath],
-    combinations: Iterable[Tuple[CandidatePath, ...]],
-) -> Tuple[List[Tuple[CandidatePath, ...]], int]:
-    """Filter combinations containing conflict pairs.
-
-    Returns (surviving combinations, number pruned).  The conflict pairs are
-    computed once over all sibling-edge candidate paths, then each
-    combination is checked pairwise — cheap id-set tests, no merging.
-    """
-    pairs = conflict_pairs_for(graph, all_paths)
-    if not pairs:
-        result = list(combinations)
-        return result, 0
-    kept: List[Tuple[CandidatePath, ...]] = []
-    pruned = 0
-    for combo in combinations:
-        ids = [cp.path_id for cp in combo]
-        if combination_conflicts(ids, pairs):
-            pruned += 1
-        else:
-            kept.append(combo)
-    return kept, pruned

@@ -26,8 +26,7 @@ them as flat arrays:
     frozenset of path encodings -> conflict pairs expressed over
     encodings (path *ids* are per-query labels, so they cannot key a
     cross-query cache; the interned node sequence is the stable
-    identity).  Serves both the legacy pair-set probes and the interned
-    engine's bitmask records.
+    identity), turned into the engine's per-path bitmask records.
 ``sizes``
     path encoding -> ``GrammarPath.size(graph)``.
 ``merge``
@@ -73,11 +72,9 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -85,13 +82,7 @@ from typing import (
 from repro.errors import CacheSnapshotError
 from repro.grammar.graph import GrammarGraph
 from repro.grammar.interning import IntPath, interner_for
-from repro.grammar import paths as _paths_mod
-from repro.grammar.paths import (
-    GrammarPath,
-    PathSearchLimits,
-    _search_enc,
-    find_paths,
-)
+from repro.grammar.paths import GrammarPath, PathSearchLimits, _search_enc
 from repro.grammar.path_voted import (
     conflict_enc_pairs,
     conflict_mask_records,
@@ -100,9 +91,6 @@ from repro.grammar.path_voted import (
 #: Distinguishes "key absent" from a cached falsy value (empty path lists
 #: are common and perfectly cacheable).
 _MISSING = object()
-
-#: Immutable sequence of grammar-graph node ids — a path's stable identity.
-NodeTuple = Tuple[str, ...]
 
 
 class _PathsEntry:
@@ -334,27 +322,22 @@ class PathCache:
             return paths
         if on_miss is not None:
             on_miss()
-        if _paths_mod.PATH_SEARCH_IMPL == "object":
-            raw = tuple(find_paths(self.graph, src_id, dst_id, limits))
-            path_ints = interner.path_ints
-            encs = tuple(path_ints(p.nodes) for p in raw)
+        # Search directly in int space: the cache stores the encodings
+        # the search produced, with no re-interning round trip, and
+        # back-memoizes each decoded node tuple so downstream
+        # ``path_ints`` calls are hits.
+        if src_int == dst_int:
+            encs = ((src_int,),)
         else:
-            # Search directly in int space: the cache stores the encodings
-            # the search produced, with no re-interning round trip, and
-            # back-memoizes each decoded node tuple so downstream
-            # ``path_ints`` calls are hits.
-            if src_int == dst_int:
-                encs = ((src_int,),)
-            else:
-                encs = tuple(_search_enc(interner, src_int, dst_int, limits))
-            decode = interner.decode_nodes
-            path_memo = interner._path_memo
-            decoded = []
-            for enc in encs:
-                nodes = decode(enc)
-                path_memo[nodes] = enc
-                decoded.append(GrammarPath("?", nodes))
-            raw = tuple(decoded)
+            encs = tuple(_search_enc(interner, src_int, dst_int, limits))
+        decode = interner.decode_nodes
+        path_memo = interner._path_memo
+        decoded = []
+        for enc in encs:
+            nodes = decode(enc)
+            path_memo[nodes] = enc
+            decoded.append(GrammarPath("?", nodes))
+        raw = tuple(decoded)
         self.paths.put(key, _PathsEntry(encs, raw))
         return raw
 
@@ -362,43 +345,12 @@ class PathCache:
     # Conflict-pair layer
     # ------------------------------------------------------------------
 
-    def conflict_pairs(
-        self, paths: Sequence[GrammarPath]
-    ) -> Set[FrozenSet[str]]:
-        """Conflict path pairs (grammar-based pruning, Sec. V-A) with the
-        analysis memoized across queries.
-
-        Path ids are query-local catalog labels ("2.1", ...), so the cache
-        works over node tuples: ids are grouped by node sequence, conflicts
-        are computed once per distinct set of node sequences, and the
-        canonical pairs are expanded back to the caller's ids.  Two paths
-        with identical node sequences vote for identical "or" alternatives
-        and therefore never conflict with each other, so the expansion is
-        exact.
-        """
-        interner = self.interner
-        path_ints = interner.path_ints
-        by_enc: Dict[IntPath, List[str]] = {}
-        for path in paths:
-            by_enc.setdefault(path_ints(path.nodes), []).append(path.path_id)
-        key = frozenset(by_enc)
-        enc_pairs = self.conflicts.get_or_compute(
-            key, lambda: conflict_enc_pairs(interner, by_enc)
-        )
-        out: Set[FrozenSet[str]] = set()
-        for pair in enc_pairs:
-            enc_a, enc_b = tuple(pair)
-            for p in by_enc[enc_a]:
-                for q in by_enc[enc_b]:
-                    out.add(frozenset((p, q)))
-        return out
-
     def conflict_masks(
         self, encs: Sequence[IntPath]
     ) -> List[Tuple[int, int]]:
-        """Per-path ``(bit, mask)`` conflict records for the interned
-        engine, aligned with ``encs`` and sharing the conflicts layer
-        (same key, same cached pair set) with :meth:`conflict_pairs`."""
+        """Per-path ``(bit, mask)`` conflict records (grammar-based
+        pruning, Sec. V-A), aligned with ``encs``, with the pair analysis
+        memoized across queries by the set of encodings."""
         interner = self.interner
         key = frozenset(encs)
         enc_pairs = self.conflicts.get_or_compute(
@@ -410,13 +362,8 @@ class PathCache:
     # Path-size layer
     # ------------------------------------------------------------------
 
-    def path_size(self, path: GrammarPath) -> int:
-        """Memoized ``GrammarPath.size(graph)`` keyed by the path's
-        interned encoding."""
-        return self.size_of_enc(self.interner.path_ints(path.nodes))
-
     def size_of_enc(self, enc: IntPath) -> int:
-        """Memoized path size for an already-interned encoding."""
+        """Memoized ``GrammarPath.size(graph)`` of an interned encoding."""
         return self.sizes.get_or_compute(
             enc, lambda: self.interner.size_of_enc(enc)
         )

@@ -168,10 +168,10 @@ def conflict_mask_records(
     of every encoding it conflicts with.  A combination contains a
     conflict pair iff, scanning its members while accumulating bits, some
     member's mask intersects the bits accumulated so far — a few bitwise
-    ANDs instead of the O(n^2) frozenset probes of
-    ``combination_conflicts``.  Duplicate encodings share a bit and (pairs
-    are over distinct encodings) never conflict with each other, matching
-    the legacy id-expansion semantics exactly.
+    ANDs instead of O(n^2) pair probes.  Duplicate encodings share a bit
+    and (pairs are over distinct encodings) never conflict with each
+    other: two paths with identical node sequences vote for identical
+    "or" alternatives.
     """
     bit_of: Dict[IntPath, int] = {}
     for enc in encs:

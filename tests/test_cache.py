@@ -18,7 +18,6 @@ from repro.domains.textediting.queries import TEXTEDITING_QUERIES
 from repro.errors import ReproError
 from repro.grammar.graph import api_id
 from repro.grammar.path_cache import _MISSING, LruCache
-from repro.grammar.paths import GrammarPath
 from repro.synthesis.result import SynthesisStats
 
 
@@ -123,15 +122,18 @@ class TestPathCacheLayers:
     def test_path_size_matches_direct(self):
         domain = fresh_textediting()
         cache = domain.path_cache
+        path_ints = cache.interner.path_ints
         apis = _api_node_ids(domain)
         for src in apis[:5]:
             for dst in apis[:5]:
                 for path in cache.find_paths(src, dst):
-                    assert cache.path_size(path) == path.size(domain.graph)
+                    size = cache.size_of_enc(path_ints(path.nodes))
+                    assert size == path.size(domain.graph)
 
     def test_conflict_pairs_use_caller_ids(self):
-        # The conflict cache keys on node tuples; callers label the same
-        # paths differently per query, and must get pairs over *their* ids.
+        # The conflict cache keys on the set of encodings; callers list
+        # the same paths in their own order per query, and must get
+        # records aligned with *their* positions.
         domain = fresh_textediting()
         cache = domain.path_cache
         raw = []
@@ -144,16 +146,21 @@ class TestPathCacheLayers:
             if len(raw) >= 2:
                 break
         assert len(raw) >= 2, "expected some multi-path API pair"
-        a = [GrammarPath(f"a{i}", p.nodes) for i, p in enumerate(raw)]
-        b = [GrammarPath(f"b{i}", p.nodes) for i, p in enumerate(raw)]
-        pairs_a = cache.conflict_pairs(a)
+        encs = [cache.interner.path_ints(p.nodes) for p in raw]
+        records = cache.conflict_masks(encs)
         hits_before = cache.conflicts.hits
-        pairs_b = cache.conflict_pairs(b)
+        reversed_records = cache.conflict_masks(encs[::-1])
         assert cache.conflicts.hits == hits_before + 1
-        rename = {f"a{i}": f"b{i}" for i in range(len(raw))}
-        assert pairs_b == {
-            frozenset(rename[x] for x in pair) for pair in pairs_a
-        }
+
+        def pairs(encs, records):
+            return {
+                frozenset((encs[i], encs[j]))
+                for i in range(len(encs))
+                for j in range(len(encs))
+                if records[j][1] & records[i][0]
+            }
+
+        assert pairs(encs[::-1], reversed_records) == pairs(encs, records)
 
     def test_snapshot_covers_stats_fields(self):
         cache = PathCache(fresh_textediting().graph)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.hisyn import HISynEngine
+from repro.cli import _bundled_queries
 from repro.core.dggt import DggtConfig, DggtEngine
+from repro.domains import load_domain
 from repro.errors import SynthesisError
 from repro.synthesis.pipeline import Synthesizer
 from repro.synthesis.problem import build_problem
@@ -75,17 +77,10 @@ class TestEngineEquivalence:
 
 
 def _suite(domain_name, limit=None):
-    if domain_name == "textediting":
-        from repro.domains.textediting import build_domain
-        from repro.domains.textediting.queries import TEXTEDITING_QUERIES
+    def build_domain(fresh):
+        return load_domain(domain_name, fresh=fresh)
 
-        cases = TEXTEDITING_QUERIES
-    else:
-        from repro.domains.astmatcher import build_domain
-        from repro.domains.astmatcher.queries import ASTMATCHER_QUERIES
-
-        cases = ASTMATCHER_QUERIES
-    queries = [case.query for case in cases]
+    queries = _bundled_queries(domain_name)
     return build_domain, queries[:limit] if limit else queries
 
 
@@ -121,12 +116,26 @@ class TestTracingEquivalence:
         traced = _run_suite(build_domain, queries, "dggt", True)
         assert plain == traced
 
-    @pytest.mark.parametrize("domain_name", ["textediting", "astmatcher"])
-    def test_suite_slice_hisyn(self, domain_name):
-        build_domain, queries = _suite(domain_name, limit=25)
+    @pytest.mark.parametrize(
+        "domain_name,limit",
+        [("textediting", 25), ("astmatcher", 25), ("spreadsheet", None),
+         ("stringxform", None)],
+        ids=["textediting", "astmatcher", "spreadsheet", "stringxform"],
+    )
+    def test_suite_slice_hisyn(self, domain_name, limit):
+        """Also the paper's own oracle (Sec. VII-B.2): wherever HISyn
+        finishes, DGGT synthesizes the same codelet."""
+        build_domain, queries = _suite(domain_name, limit=limit)
         plain = _run_suite(build_domain, queries, "hisyn", False)
         traced = _run_suite(build_domain, queries, "hisyn", True)
         assert plain == traced
+        dggt = _run_suite(build_domain, queries, "dggt", False)
+        finished = 0
+        for query, h, d in zip(queries, plain, dggt):
+            if h[0] == "ok":
+                finished += 1
+                assert d[:2] == h[:2], query
+        assert finished
 
     def test_traced_run_actually_traces(self):
         build_domain, queries = _suite("textediting", limit=5)

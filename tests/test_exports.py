@@ -32,7 +32,7 @@ class TestTopLevel:
                        "DependencyGraph"]),
         ("repro.nlu", ["ApiDoc", "ApiDocument", "WordToApiMatcher",
                        "SynonymTable"]),
-        ("repro.core", ["CGT", "DggtEngine", "DynamicGrammarGraph",
+        ("repro.core", ["CGT", "DggtEngine", "DggtConfig", "VIRTUAL",
                         "relocation_variants", "cgt_to_expression",
                         "parse_expression", "validate_expression"]),
         ("repro.baseline", ["HISynEngine", "iter_combinations"]),

@@ -1,165 +1,108 @@
-"""Cross-engine equivalence: interned DGGT vs. the legacy object engine.
+"""The DGGT engine reproduces its pinned outcome for every suite query.
 
-The tentpole's proof obligation — the integer-interned core is a pure
-representation change, so over both full query suites, every
-``DggtConfig`` ablation combination, and the timeout edge cases, the two
-engines must produce byte-identical codelets, identical sizes, and equal
-``SynthesisStats`` counters (cache hit/miss/eviction counts excepted:
-the engines share the domain cache layers, so whichever runs second sees
-the other's entries).
+``data/dggt_golden.jsonl`` (see ``data/make_dggt_golden.py``) holds, for
+the four suites and all eight ``(grammar_pruning, size_pruning,
+orphan_relocation)`` combinations, each query's codelet, size and
+non-cache ``SynthesisStats`` counters, or its failure type and message.
+Both the interned engine and the legacy object engine it replaced wrote
+that file, byte for byte, so these tests hold the remaining engine to
+the legacy engine's recorded outputs.
 """
 
 from __future__ import annotations
 
-import itertools
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.core.dggt import DggtConfig, DggtEngine
-from repro.errors import SynthesisError, SynthesisTimeout
-from repro.grammar.paths import set_search_impl
+from repro.cli import _bundled_queries
+from repro.core.dggt import DggtEngine
+from repro.domains import load_domain
+from repro.errors import SynthesisTimeout
 from repro.synthesis.deadline import Deadline
 from repro.synthesis.problem import build_problem
-from repro.synthesis.result import SynthesisStats
+from tests.data.make_dggt_golden import COMBOS, SUITES, config_of, outcome
 
-_CACHE_FIELDS = set(SynthesisStats.CACHE_FIELDS)
-
-#: (grammar_pruning, size_pruning, orphan_relocation) — every toggle combo.
-ABLATION_COMBOS = list(itertools.product((True, False), repeat=3))
+GOLDEN = Path(__file__).parent / "data" / "dggt_golden.jsonl"
 
 
-def _suite(domain_name, limit=None):
-    if domain_name == "textediting":
-        from repro.domains.textediting import build_domain
-        from repro.domains.textediting.queries import TEXTEDITING_QUERIES
-
-        cases = TEXTEDITING_QUERIES
-    else:
-        from repro.domains.astmatcher import build_domain
-        from repro.domains.astmatcher.queries import ASTMATCHER_QUERIES
-
-        cases = ASTMATCHER_QUERIES
-    queries = [case.query for case in cases]
-    return build_domain, queries[:limit] if limit else queries
+def _load():
+    with GOLDEN.open() as fh:
+        header = json.loads(fh.readline())
+        records = {}
+        for line in fh:
+            suite, combo, index, result = json.loads(line)
+            records.setdefault((suite, combo), []).append((index, result))
+    return header, records
 
 
-def _comparable_stats(stats):
-    return {
-        key: value
-        for key, value in stats.as_dict().items()
-        if key not in _CACHE_FIELDS
-    }
-
-
-def _outcome(domain, query, engine, deadline=None):
-    try:
-        problem = build_problem(domain, query)
-        out = engine.synthesize(
-            problem, **({} if deadline is None else {"deadline": deadline})
-        )
-        return ("ok", out.codelet, out.size, _comparable_stats(out.stats))
-    except SynthesisTimeout as exc:
-        # The timeout message embeds wall-clock elapsed seconds, which can
-        # never agree across two runs; the type is the comparable part.
-        return ("fail", type(exc).__name__)
-    except SynthesisError as exc:
-        return ("fail", type(exc).__name__, str(exc))
-
-
+HEADER, RECORDS = _load()
 _SHARED_DOMAINS = {}
 
 
-def _shared_domain(domain_name):
-    """One domain instance per suite, shared across every ablation combo:
-    path searches and merge-cache entries are config-independent, so
-    sharing only removes redundant cold work, never signal."""
-    if domain_name not in _SHARED_DOMAINS:
-        build_domain, _queries = _suite(domain_name)
-        _SHARED_DOMAINS[domain_name] = build_domain(fresh=True)
-    return _SHARED_DOMAINS[domain_name]
+def _shared_domain(suite):
+    """One fresh domain per suite, shared by every combination — as the
+    generator ran it."""
+    if suite not in _SHARED_DOMAINS:
+        _SHARED_DOMAINS[suite] = load_domain(suite, fresh=True)
+    return _SHARED_DOMAINS[suite]
 
 
-def _run_suite(domain, queries, interned, config=None, budget=None):
-    """One pass over ``queries`` on ``domain`` with one engine flavor.
+def _assert_reproduces(domain, suite, combo):
+    queries = _bundled_queries(suite)
+    engine = DggtEngine(config_of(COMBOS[combo]))
+    mismatches = []
+    for index, expected in RECORDS[(suite, combo)]:
+        got = outcome(domain, queries[index], engine)
+        if got != expected:
+            mismatches.append((index, queries[index], expected, got))
+    assert not mismatches, mismatches[:3]
 
-    Both the engine flag and the module-level search implementation are
-    switched together: ``interned=False`` is the full legacy object path,
-    including the recursive DFS in ``grammar/paths.py``.
-    """
-    set_search_impl("interned" if interned else "object")
-    try:
-        kwargs = dict(config or {})
-        kwargs["interned"] = interned
-        engine = DggtEngine(DggtConfig(**kwargs))
-        results = []
-        for query in queries:
-            deadline = None if budget is None else Deadline(budget)
-            results.append(_outcome(domain, query, engine, deadline))
-        return results
-    finally:
-        set_search_impl("interned")
+
+def test_fixture_covers_every_suite_and_combination():
+    assert HEADER["combos"] == [list(c) for c in COMBOS]
+    assert set(HEADER["suites"]) == set(SUITES)
+    for suite in SUITES:
+        n = len(_bundled_queries(suite))
+        assert HEADER["suites"][suite] == n
+        for c in range(len(COMBOS)):
+            assert [i for i, _r in RECORDS[(suite, c)]] == list(range(n))
+    assert sum(len(v) for v in RECORDS.values()) == 3392
 
 
 class TestFullSuiteEquivalence:
-    @pytest.mark.parametrize("domain_name", ["textediting", "astmatcher"])
+    @pytest.mark.parametrize("domain_name", SUITES)
     def test_byte_identical_over_full_suite(self, domain_name):
-        build_domain, queries = _suite(domain_name)
-        domain = build_domain(fresh=True)
-        interned = _run_suite(domain, queries, interned=True)
-        legacy = _run_suite(domain, queries, interned=False)
-        for query, a, b in zip(queries, interned, legacy):
-            assert a == b, f"{domain_name}: {query!r}\ninterned={a}\nlegacy={b}"
+        """All optimizations on, on a domain of its own (cold caches)."""
+        _assert_reproduces(load_domain(domain_name, fresh=True), domain_name, 0)
 
 
 class TestAblationEquivalence:
-    """Every pruning/relocation toggle combination, on a suite slice —
-    the ablations multiply runtime, and a representation bug would show
-    on any slice that exercises merging and relocation at all."""
+    """Every pruning/relocation toggle combination, on one domain per
+    suite shared across combinations."""
 
-    @pytest.mark.parametrize("domain_name", ["textediting", "astmatcher"])
-    @pytest.mark.parametrize("combo", ABLATION_COMBOS)
+    @pytest.mark.parametrize("domain_name", SUITES)
+    @pytest.mark.parametrize(
+        "combo", range(len(COMBOS)), ids=lambda c: f"combo{c}"
+    )
     def test_all_toggle_combos(self, domain_name, combo):
-        grammar_pruning, size_pruning, orphan_relocation = combo
-        config = {
-            "grammar_pruning": grammar_pruning,
-            "size_pruning": size_pruning,
-            "orphan_relocation": orphan_relocation,
-        }
-        _build_domain, queries = _suite(domain_name, limit=10)
-        domain = _shared_domain(domain_name)
-        interned = _run_suite(
-            domain, queries, interned=True, config=config, budget=20.0
-        )
-        legacy = _run_suite(
-            domain, queries, interned=False, config=config, budget=20.0
-        )
-        assert interned == legacy, f"{domain_name} {config}"
+        _assert_reproduces(_shared_domain(domain_name), domain_name, combo)
 
 
 class TestDeadlineEdgeCases:
     def test_zero_budget_same_failure(self):
-        _build_domain, queries = _suite("textediting", limit=5)
+        """A zero budget fails every query with a timeout, as the legacy
+        engine did."""
         domain = _shared_domain("textediting")
-        interned = _run_suite(domain, queries, interned=True, budget=0.0)
-        legacy = _run_suite(domain, queries, interned=False, budget=0.0)
-        assert interned == legacy
-        assert all(result[0] == "fail" for result in interned)
+        engine = DggtEngine()
+        for query in _bundled_queries("textediting")[:5]:
+            with pytest.raises(SynthesisTimeout):
+                engine.synthesize(
+                    build_problem(domain, query), deadline=Deadline(0.0)
+                )
 
     def test_expired_deadline_raises_identically(self, textediting):
-        query = "print every line"
-        problem = build_problem(textediting, query)
-        outcomes = {}
-        for interned in (True, False):
-            set_search_impl("interned" if interned else "object")
-            try:
-                deadline = Deadline(0.0)
-                engine = DggtEngine(DggtConfig(interned=interned))
-                try:
-                    engine.synthesize(problem, deadline=deadline)
-                    outcomes[interned] = ("ok",)
-                except SynthesisError as exc:
-                    outcomes[interned] = ("fail", type(exc).__name__)
-            finally:
-                set_search_impl("interned")
-        assert outcomes[True] == outcomes[False]
-        assert outcomes[True][0] == "fail"
+        problem = build_problem(textediting, "print every line")
+        with pytest.raises(SynthesisTimeout):
+            DggtEngine().synthesize(problem, deadline=Deadline(0.0))

@@ -1,49 +1,42 @@
 """Unit coverage of the integer-interned DGGT core.
 
-The interned engine's correctness rests on a handful of local invariants
-— order-preserving int assignment, the bitmask validity algebra agreeing
-with the legacy set/CGT checks, and the int-space path search emitting
-the legacy search's exact output.  Each is pinned here in isolation so a
-violation fails a unit test, not a 300-query equivalence sweep.
+The engine's correctness rests on a handful of local invariants —
+order-preserving int assignment, the bitmask validity algebra agreeing
+with the set/CGT checks, and the int-space path search emitting its
+pinned output (``data/paths_golden.jsonl``).  Each is pinned here in
+isolation so a violation fails a unit test, not a 400-query sweep.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
-from itertools import product
+from pathlib import Path
 
 import pytest
 
 from repro.core.cgt import CGT
-from repro.core.dggt import merge_valid_enc
-from repro.core.dynamic_graph import DynNode
-from repro.core.grammar_pruning import (
-    combination_conflicts,
-    conflict_masks_for,
-    conflict_pairs_for,
-)
-from repro.core.size_pruning import (
-    SizedCombination,
-    exact_tree_cost,
-    exact_tree_cost_enc,
-)
-from repro.errors import CacheSnapshotError
-from repro.grammar.graph import api_id
+from repro.core.dggt import DggtConfig, DggtEngine
+from repro.core.grammar_pruning import conflict_masks_for
+from repro.domains import load_domain
+from repro.errors import CacheSnapshotError, SynthesisError
+from repro.grammar.graph import NodeKind, api_id
 from repro.grammar.interning import SENTINEL_DIST, interner_for
 from repro.grammar.path_cache import (
     SNAPSHOT_FORMAT_VERSION,
     read_snapshot,
     write_snapshot,
 )
-from repro.grammar.paths import (
-    GrammarPath,
-    PathSearchLimits,
-    _find_paths_object,
-    _search_enc,
-    find_paths,
-    set_search_impl,
+from repro.grammar.path_voted import PathVotedGraph
+from repro.grammar.paths import GrammarPath, PathSearchLimits, find_paths
+from repro.synthesis.problem import (
+    CandidatePath,
+    EndpointCandidate,
+    build_problem,
 )
-from repro.synthesis.problem import CandidatePath, EndpointCandidate
+from tests.data.make_paths_golden import SUITES, TOY_LIMITS, record
+
+PATHS_GOLDEN = Path(__file__).parent / "data" / "paths_golden.jsonl"
 
 
 def _api_int(interner, name):
@@ -91,60 +84,62 @@ class TestOrderPreservation:
 
 
 # ---------------------------------------------------------------------------
-# Search identity: int-space DFS == legacy recursive DFS, byte for byte
+# Search identity: the path search reproduces its pinned output
 # ---------------------------------------------------------------------------
 
 
+def _golden_paths():
+    groups = {}
+    with PATHS_GOLDEN.open() as fh:
+        for line in fh:
+            row = json.loads(line)
+            groups.setdefault((row[0], tuple(row[3])), []).append(row)
+    return groups
+
+
+GOLDEN_PATHS = _golden_paths()
+
+
 class TestSearchIdentity:
-    def _assert_identical(self, graph, src, dst, limits):
-        interner = interner_for(graph)
-        legacy = [p.nodes for p in _find_paths_object(graph, src, dst, limits)]
-        encs = _search_enc(
-            interner, interner.index[src], interner.index[dst], limits
-        )
-        assert [interner.decode_nodes(e) for e in encs] == legacy
+    """Every pinned ``[domain, src, dst, limits, n_paths, digest]`` row
+    is reproduced by ``find_paths``: the suites' endpoint pairs under
+    their domains' limits (ASTMatcher's at its 30,000-visit cap), and
+    every toy API pair under the default limits and tight caps."""
+
+    def _assert_golden(self, domain, graph, limits):
+        rows = GOLDEN_PATHS[(domain, limits.cache_key())]
+        assert rows
+        mismatches = [
+            row for row in rows
+            if record(domain, graph, row[1], row[2], limits) != row
+        ]
+        assert not mismatches, mismatches[:3]
 
     def test_all_api_pairs_on_toy_graph(self, toy_graph):
-        apis = [
-            node.node_id
-            for node in toy_graph.nodes()
-            if node.node_id.startswith("api:")
-        ]
-        limits = PathSearchLimits()
-        for src, dst in product(apis, apis):
-            if src != dst:
-                self._assert_identical(toy_graph, src, dst, limits)
+        self._assert_golden("toy", toy_graph, PathSearchLimits())
+        n_apis = len(list(toy_graph.api_nodes()))
+        limits = PathSearchLimits().cache_key()
+        assert len(GOLDEN_PATHS[("toy", limits)]) == n_apis * (n_apis - 1)
 
     @pytest.mark.parametrize(
-        "limits_kwargs",
-        [
-            {"max_paths": 2},
-            {"max_visits": 5},
-            {"max_visits": 17, "max_paths": 3},
-            {"max_path_len": 4},
-        ],
+        "limits_kwargs", [kw for kw in TOY_LIMITS if kw]
     )
     def test_caps_reconcile_identically(self, toy_graph, limits_kwargs):
         """Tight visit/path caps exercise the tagged-cap reconciliation:
         the iterative search may overshoot within a round but must report
-        exactly what the legacy search's mid-recursion cap cut off."""
-        limits = PathSearchLimits(**limits_kwargs)
-        self._assert_identical(
-            toy_graph, api_id("INSERT"), api_id("NUMBERTOKEN"), limits
-        )
-        self._assert_identical(
-            toy_graph, api_id("DELETE"), api_id("STRING"), limits
+        exactly what a search stopped at the cap would."""
+        self._assert_golden(
+            "toy", toy_graph, PathSearchLimits(**limits_kwargs)
         )
 
-    def test_dispatcher_switches_impl(self, toy_graph):
-        src, dst = api_id("INSERT"), api_id("CONTAINS")
-        interned = find_paths(toy_graph, src, dst)
-        previous = set_search_impl("object")
-        try:
-            legacy = find_paths(toy_graph, src, dst)
-        finally:
-            set_search_impl(previous)
-        assert [p.nodes for p in interned] == [p.nodes for p in legacy]
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suite_endpoint_pairs(self, suite):
+        domain = load_domain(suite)
+        groups = [lim for d, lim in GOLDEN_PATHS if d == suite]
+        assert groups == [domain.path_limits.cache_key()]
+        self._assert_golden(suite, domain.graph, domain.path_limits)
+        if suite == "astmatcher":
+            assert domain.path_limits.max_visits == 30_000
 
     def test_sentinel_terminates_rows(self, toy_graph):
         interner = interner_for(toy_graph)
@@ -158,30 +153,12 @@ class TestSearchIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask validity algebra vs. the legacy set/CGT checks
+# Bitmask validity algebra vs. the set/CGT checks
 # ---------------------------------------------------------------------------
 
 
 def _cand(node_id):
     return EndpointCandidate(node_id=node_id, api_name=node_id)
-
-
-def _combos(graph, src, dsts, per_pair=4):
-    """Small cross-products of real paths sharing one source."""
-    groups = []
-    for group_index, dst in enumerate(dsts):
-        paths = find_paths(graph, src, dst)[:per_pair]
-        assert paths, f"no paths {src} -> {dst}"
-        groups.append(
-            [
-                CandidatePath(
-                    GrammarPath(f"{group_index}.{k}", p.nodes),
-                    _cand(src), _cand(dst),
-                )
-                for k, p in enumerate(paths)
-            ]
-        )
-    return list(product(*groups))
 
 
 class TestMaskAlgebra:
@@ -200,31 +177,41 @@ class TestMaskAlgebra:
             assert nm_all == expected_nodes
             assert dm == nm & ~(1 << enc[0])
 
-    def test_merge_validity_matches_cgt(self, toy_graph):
-        interner = interner_for(toy_graph)
-        src = api_id("INSERT")
-        # Disjoint subtrees (valid merges) plus two alternatives of the
-        # same choice rule (or-conflicting, hence invalid merges).
-        combos = _combos(
-            toy_graph, src,
-            [api_id("NUMBERTOKEN"), api_id("LINESCOPE"), api_id("STRING")],
-        ) + _combos(
-            toy_graph, src, [api_id("POSITION"), api_id("START")]
+    def test_merge_validity_matches_cgt(self, toy_domain):
+        """Every sibling merge the engine records in the merge cache layer
+        — its bitmask validity and tree cost — agrees with the CGT checks
+        and a set-based cost over the decoded paths.  Pruning is off so
+        or-conflicting combinations reach the merge too."""
+        engine = DggtEngine(
+            DggtConfig(grammar_pruning=False, size_pruning=False)
         )
-        assert combos
+        for query in (
+            # START and POSITION are two alternatives of pos_expr.
+            'insert ":" at the start at position 5 into lines',
+            "insert numbers at the start containing numbers into words",
+        ):
+            try:
+                engine.synthesize(build_problem(toy_domain, query))
+            except SynthesisError:
+                pass
+        graph = toy_domain.graph
+        decode = interner_for(graph).decode_nodes
         agree_valid = agree_invalid = 0
-        for combo in combos:
-            tree = CGT.from_paths(cp.path for cp in combo)
-            legacy_valid = tree.is_tree() and not tree.or_conflicts(toy_graph)
-            encs = tuple(interner.path_ints(cp.path.nodes) for cp in combo)
-            assert merge_valid_enc(interner, encs) == legacy_valid
-            if legacy_valid:
-                agree_valid += 1
-                assert exact_tree_cost_enc(interner, encs) == exact_tree_cost(
-                    toy_graph, combo
-                )
-            else:
+        for combo_encs, (valid, cost) in toy_domain.path_cache.merge.items():
+            paths = [decode(enc) for enc in combo_encs]
+            tree = CGT.from_paths(GrammarPath("?", p) for p in paths)
+            assert valid == (tree.is_tree() and not tree.or_conflicts(graph))
+            if not valid:
                 agree_invalid += 1
+                continue
+            agree_valid += 1
+            src = paths[0][0]
+            sinks = {p[-1] for p in paths}
+            nodes = {n for p in paths for n in p} - sinks - {src}
+            expected = sum(graph.api_weight(n) for n in nodes)
+            if src not in sinks and graph.node(src).kind is NodeKind.API:
+                expected += 1
+            assert cost == expected, paths
         # The sample must exercise both branches to mean anything.
         assert agree_valid and agree_invalid
 
@@ -240,7 +227,9 @@ class TestMaskAlgebra:
                         _cand(src), _cand(api_id(dst)),
                     )
                 )
-        pairs = conflict_pairs_for(toy_graph, paths)
+        pairs = PathVotedGraph(
+            toy_graph, (cp.path for cp in paths)
+        ).conflict_path_pairs()
         assert pairs, "sample must contain at least one or-conflict"
         encs = [interner.path_ints(cp.path.nodes) for cp in paths]
         records = conflict_masks_for(toy_graph, encs)
@@ -248,12 +237,12 @@ class TestMaskAlgebra:
             for j in range(len(paths)):
                 if i == j:
                     continue
-                legacy = combination_conflicts(
-                    [paths[i].path_id, paths[j].path_id], pairs
+                expected = (
+                    frozenset((paths[i].path_id, paths[j].path_id)) in pairs
                 )
                 bit_i, _mask_i = records[i]
                 _bit_j, mask_j = records[j]
-                assert bool(mask_j & bit_i) == legacy, (i, j)
+                assert bool(mask_j & bit_i) == expected, (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +280,13 @@ class TestSlottedRecords:
             endpoint,
             EndpointCandidate(node_id="lit:str_val", value="x"),
         )
-        sized = SizedCombination(combo=(path,), lower=1, upper=3)
-        dyn = DynNode(
-            key=(0, "api:INSERT"), kind="api", min_size=2, min_rank=1,
-            min_edges=frozenset({("api:INSERT", "nt:x")}), min_bindings={},
-        )
-        return endpoint, path, sized, dyn
+        return endpoint, path
 
     def test_no_instance_dict(self):
         for record in self._records():
             assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_pickle_round_trip(self):
-        endpoint, path, sized, dyn = self._records()
-        for record in (endpoint, path, sized):
+        for record in self._records():
             clone = pickle.loads(pickle.dumps(record))
             assert clone == record
-        dyn_clone = pickle.loads(pickle.dumps(dyn))
-        assert dyn_clone.key == dyn.key
-        assert dyn_clone.min_size == dyn.min_size
-        assert dyn_clone.tie_key() == dyn.tie_key()

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cgt import CGT, merge_bindings
+from repro.core.dggt import DggtConfig, DggtEngine
 from repro.core.expression import Expr, parse_expression
-from repro.core.size_pruning import SizedCombination, prune_by_size
+from repro.errors import SynthesisError
 from repro.grammar.paths import PathSearchLimits, find_paths_between_apis
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.tokenizer import tokenize
 from repro.nlu.similarity import levenshtein, similarity_ratio
 from repro.nlu.synonyms import default_synonyms
+from repro.synthesis.problem import build_problem
 
 # ----------------------------------------------------------------------
 # Expressions
@@ -128,24 +130,32 @@ class TestBindingProperties:
         assert merge_bindings({}, a) == a
 
 
-_sized = st.builds(
-    lambda lo, extra: SizedCombination((), lo, lo + extra),
-    st.integers(min_value=0, max_value=20),
-    st.integers(min_value=0, max_value=10),
-)
-
-
 class TestSizePruningProperties:
-    @given(st.lists(_sized, max_size=12))
-    def test_prune_soundness(self, sized):
-        kept, n_pruned = prune_by_size(sized)
-        assert len(kept) + n_pruned == len(sized)
-        if sized:
-            best_upper = min(s.upper for s in sized)
-            # the potentially-optimal combination always survives
-            assert any(s.upper == best_upper for s in kept)
-            for s in kept:
-                assert s.lower <= best_upper
+    @given(
+        st.sampled_from(["insert", "delete"]),
+        st.sampled_from(['a string', 'numbers', '":"', 'the string "#"']),
+        st.lists(
+            st.sampled_from(["into lines", "into words", "at the start",
+                             "at position 5", "containing numbers"]),
+            unique=True, max_size=2,
+        ),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_prune_soundness(self, toy_domain, verb, obj, tails):
+        """Size-based pruning is lossless: switching it off never changes
+        the synthesized codelet or its size."""
+        query = " ".join([verb, obj] + tails)
+
+        def run(config):
+            try:
+                out = DggtEngine(config).synthesize(
+                    build_problem(toy_domain, query)
+                )
+                return ("ok", out.codelet, out.size)
+            except SynthesisError as exc:
+                return ("fail", type(exc).__name__)
+
+        assert run(DggtConfig()) == run(DggtConfig(size_pruning=False)), query
 
 
 # ----------------------------------------------------------------------
