@@ -57,7 +57,9 @@ class GraphInterner:
                        ints (membership tests during validity checks).
     ``or_group_lists`` same groups with the grammar's alternative *order*
                        preserved (the vote analysis iterates in order).
-    ``preds``     per-int tuple of predecessor ints (graph edge order).
+    ``preds``     per-int tuple of predecessor ints, ascending.
+    ``succs``     per-int tuple of successor ints, built once from ``preds``
+                  (the BFS of :meth:`dist_from` walks it).
     """
 
     def __init__(self, graph: GrammarGraph):
@@ -87,9 +89,14 @@ class GraphInterner:
             for nt, alts in graph.or_group_map.items()
         }
         self.preds: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(index[e.src] for e in graph.predecessors(node_id))
+            tuple(sorted(index[e.src] for e in graph.predecessors(node_id)))
             for node_id in self.node_ids
         )
+        succs: List[List[int]] = [[] for _ in range(self.n)]
+        for node, node_preds in enumerate(self.preds):
+            for pred in node_preds:
+                succs[pred].append(node)
+        self.succs: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, succs))
         self._path_memo: Dict[Tuple[str, ...], IntPath] = {}
         self._edges_memo: Dict[IntPath, Tuple[int, ...]] = {}
         self._size_memo: Dict[IntPath, int] = {}
@@ -116,6 +123,11 @@ class GraphInterner:
         self._preds_memo: Dict[
             int, List[Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]]
         ] = {}
+        # The path search's shortest-path DAG for the most recent
+        # (source, max_paths) only (``repro.grammar.paths.ShortestPathDag``):
+        # one slot, replaced whole, so threads that race on it each keep
+        # the complete DAG they read.
+        self.dag_slot = None
 
     # ------------------------------------------------------------------
     # Encoding / decoding
@@ -227,19 +239,29 @@ class GraphInterner:
         return cached
 
     # ------------------------------------------------------------------
-    # Reachability (int-array views of the graph's memoized BFS)
+    # Reachability (int-space BFS over the successor table)
     # ------------------------------------------------------------------
 
     def dist_from(self, src_int: int) -> List[int]:
         """Shortest-path distance from ``src_int`` to every node as a flat
-        list (-1 = unreachable), derived from the graph's memoized BFS."""
+        list (-1 = unreachable): a BFS over :attr:`succs`, memoized per
+        source.  The list is published only once complete."""
         cached = self._dist_memo.get(src_int)
         if cached is None:
-            dist = self.graph.distances_from(self.node_ids[src_int])
+            succs = self.succs
             cached = [-1] * self.n
-            index = self.index
-            for node_id, d in dist.items():
-                cached[index[node_id]] = d
+            cached[src_int] = 0
+            frontier = [src_int]
+            depth = 0
+            while frontier:
+                depth += 1
+                next_frontier: List[int] = []
+                for current in frontier:
+                    for nxt in succs[current]:
+                        if cached[nxt] < 0:
+                            cached[nxt] = depth
+                            next_frontier.append(nxt)
+                frontier = next_frontier
             self._dist_memo[src_int] = cached
         return cached
 

@@ -16,7 +16,10 @@ additively along the dependency graph — see DESIGN.md "Path size accounting".
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.grammar.graph import GrammarGraph, NodeKind
@@ -174,16 +177,275 @@ def _search_enc(
 ) -> List[Tuple[int, ...]]:
     """The reversed all-path search in interned int space.
 
-    Iterative deepening: every round collects the paths of one exact
-    length, so all shorter paths are complete before any longer one is
-    considered — when a cap bites, it keeps the shortest (and therefore
-    most plausible) candidates, not whatever a depth-first order
-    happened to flood first.  Within a round it is a DFS over
-    predecessors in ascending distance from ``src`` (ties in node-id
-    order), visiting a predecessor only if a shortest completion through
-    it still fits the round's length budget.  ``limits.max_visits``
-    counts one visit per node entered (a recursive formulation's calls);
-    past ``max_paths`` results the shortest are kept.
+    Semantics (what :func:`_search_dfs` computes): iterative deepening
+    over exact path lengths, from the shortest up to
+    ``min(max_path_len, shortest + max_extra_len)``, so all shorter paths
+    are complete before any longer one is considered.  Within a round it
+    is a DFS over predecessors in ascending ``(distance from src, node
+    id)`` order that enters a predecessor only if a shortest completion
+    through it still fits the round's length budget.  ``max_visits``
+    counts one visit per node entered; past ``max_paths`` results the
+    ``max_paths`` best by (interior weight, node count, DFS order) are
+    kept, in DFS order.
+
+    In round 1 every node the DFS enters lies at distance exactly
+    ``budget`` from ``src``, so the round walks the *shortest-path DAG*:
+    ``v``'s usable predecessors are ``L(v) = [p in preds(v) if dist[p] ==
+    dist[v] - 1]`` in node-id order, and every path in it is simple.
+    :class:`ShortestPathDag` counts over that DAG (``cnt[v]``, the DFS
+    visits in ``v``'s subtree, and ``npaths[v]``) before any search:
+
+    * ``npaths[dst] < max_paths`` and ``cnt[dst] < max_visits``: round 1
+      neither fills nor exhausts the search, so later rounds run; they
+      are not DAGs and need the on-stack check, so the DFS runs as is;
+    * otherwise round 1 decides the result alone, and the DAG's k-best
+      lists give it exactly (:meth:`ShortestPathDag.best`) without
+      enumerating the paths, visit cap included.
+
+    The DAG depends on ``src`` and ``max_paths`` but not on ``dst``; the
+    interner keeps it for the most recent pair only (``dag_slot``, one
+    slot with no capacity setting: consecutive searches mostly share a
+    source, and a per-source memo costs far more memory than it saves).
+
+    ``tests/data/paths_golden.jsonl`` pins the exact output of this
+    search for every endpoint pair the four suites search.  Returns
+    encodings; callers decode (or cache the encodings directly).
+    """
+    dist = interner.dist_from(src)
+    if dist[dst] < 0 or dist[dst] + 1 > limits.max_path_len:
+        return []
+    dag = interner.dag_slot
+    if dag is None or dag.src != src or dag.k != limits.max_paths:
+        dag = ShortestPathDag(interner, src, limits.max_paths)
+        interner.dag_slot = dag
+    cnt, npaths = dag.info(dst)[:2]
+    if npaths < limits.max_paths and cnt < limits.max_visits:
+        return _search_dfs(interner, src, dst, limits)
+    return dag.best(dst, limits.max_visits)
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+#: A node's counts in the shortest-path DAG: ``(cnt, npaths, L(node),
+#: offsets)``, ``offsets`` being the prefix sums of ``npaths`` over L.
+DagInfo = Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]
+
+#: A node's k-best keys: ``(interior weight, ranks)`` groups by ascending
+#: weight, each group's ranks ascending, ``k`` ranks in all at most.
+KBest = List[Tuple[int, List[int]]]
+
+
+def _merge_kbest(pieces: List[Tuple[int, int, KBest]], k: int) -> KBest:
+    """The k best keys of several k-best lists, each shifted by its
+    ``(weight, rank)`` offset.  The pieces' rank ranges must ascend in
+    list order (predecessors in DFS order), so within one weight the
+    shifted groups concatenate already sorted."""
+    by_weight: Dict[int, List[Tuple[int, List[int]]]] = {}
+    for w_shift, r_shift, groups in pieces:
+        for w, ranks in groups:
+            by_weight.setdefault(w + w_shift, []).append((r_shift, ranks))
+    out: KBest = []
+    for w in sorted(by_weight):
+        merged: List[int] = []
+        for r_shift, ranks in by_weight[w]:
+            merged += [r + r_shift for r in ranks] if r_shift else ranks
+            if len(merged) >= k:
+                del merged[k:]
+                break
+        out.append((w, merged))
+        k -= len(merged)
+        if not k:
+            break
+    return out
+
+
+class ShortestPathDag:
+    """Round 1 of the search from one source as a dynamic program over
+    its shortest-path DAG, filled lazily per node.
+
+    Two semirings run over ``L(v)`` (see :func:`_search_enc`):
+
+    * **counting** — ``cnt[v] = 1 + sum(cnt[p])`` (``cnt[src] = 1``) and
+      ``npaths[v] = sum(npaths[p])`` (``npaths[src] = 1``).  A path's
+      *rank* — its index in the DFS order — is the offset of its
+      predecessor among ``v``'s (``offsets``, prefix sums of ``npaths``)
+      plus its rank below that predecessor; ranks are Python ints, so
+      path counts past 2**64 still order exactly.
+    * **k-best** — ``kbest[v]``: the ``k`` smallest ``(interior weight,
+      rank)`` keys of the paths ``src -> ... -> v`` (:data:`KBest`), a
+      merge of the predecessors' lists shifted by the predecessor's
+      weight and offset.  Node count is constant in round 1, so this is
+      the search's trim order.  Only the kept keys are unranked into node
+      tuples.
+
+    Per node the state is published once complete (one list-slot store
+    per value), so threads that share a DAG never read a half-filled
+    node; at worst two threads compute the same value twice.
+    """
+
+    __slots__ = ("src", "k", "dist", "preds", "weight", "infos", "lists")
+
+    def __init__(self, interner: GraphInterner, src: int, k: int):
+        self.src = src
+        self.k = k
+        self.dist = interner.dist_from(src)
+        self.preds = interner.preds
+        weight = list(interner.weight)
+        weight[src] = 0  # the source is no interior node
+        self.weight = weight
+        #: node -> its DagInfo, or None while unbuilt.
+        self.infos: List[Optional[DagInfo]] = [None] * interner.n
+        self.infos[src] = (1, 1, (), ())
+        #: node -> its k-best keys, or None while unbuilt.
+        self.lists: List[Optional[KBest]] = [None] * interner.n
+        self.lists[src] = [(0, [0])]
+
+    def info(self, v: int) -> DagInfo:
+        """``(cnt, npaths, L(v), offsets)``, building ``v``'s unbuilt DAG
+        ancestors first."""
+        infos = self.infos
+        out = infos[v]
+        if out is not None:
+            return out
+        preds = self.preds
+        dist = self.dist
+        levels = []
+        level = [v]
+        while level:
+            # A level's nodes share one distance from src, so no node is
+            # reached at two levels and the levels reversed are a
+            # topological order.
+            below = dist[level[0]] - 1
+            kids = [
+                tuple([p for p in preds[u] if dist[p] == below])
+                for u in level
+            ]
+            levels.append((level, kids))
+            level = [p for p in set().union(*kids) if infos[p] is None]
+        for level, kids in reversed(levels):
+            for u, children in zip(level, kids):
+                if len(children) == 1:  # most grammar nodes: one way in
+                    p_cnt, p_paths = infos[children[0]][:2]
+                    infos[u] = (1 + p_cnt, p_paths, children, (0,))
+                    continue
+                subs = [infos[p] for p in children]
+                offsets = tuple(accumulate(map(_second, subs), initial=0))
+                infos[u] = (
+                    1 + sum(map(_first, subs)),
+                    offsets[-1],
+                    children,
+                    offsets[:-1],
+                )
+        return infos[v]
+
+    def kbest(self, v: int) -> KBest:
+        """``v``'s k-best keys (``v`` must already be counted)."""
+        lists = self.lists
+        out = lists[v]
+        if out is not None:
+            return out
+        infos = self.infos
+        weight = self.weight
+        k = self.k
+        levels = []
+        level = [v]
+        while level:
+            levels.append(level)
+            level = [
+                p for p in set().union(*(infos[u][2] for u in level))
+                if lists[p] is None
+            ]
+        for level in reversed(levels):
+            for u in level:
+                _cnt, _paths, children, offsets = infos[u]
+                if len(children) == 1:  # offset 0: the ranks carry over
+                    p = children[0]
+                    w = weight[p]
+                    lists[u] = (
+                        [(pw + w, ranks) for pw, ranks in lists[p]]
+                        if w else lists[p]
+                    )
+                    continue
+                lists[u] = _merge_kbest(
+                    [
+                        (weight[p], off, lists[p])
+                        for p, off in zip(children, offsets)
+                    ],
+                    k,
+                )
+        return lists[v]
+
+    def best(self, dst: int, max_visits: int) -> List[Tuple[int, ...]]:
+        """Round 1's result for ``dst`` (which must already be counted):
+        the k best kept paths, in DFS order.
+
+        The visit cap keeps the paths whose ``src`` visit has DFS preorder
+        number ``<= max_visits``: a prefix of the DFS order.  When
+        ``cnt[dst]`` exceeds the cap, that prefix splits along a single
+        boundary chain from ``dst`` into whole subtrees left of it, whose
+        k-best lists are merged with the chain's weight and rank prefix.
+        """
+        infos = self.infos
+        if infos[dst][0] <= max_visits:
+            kept = self.kbest(dst)
+        else:
+            weight = self.weight
+            pieces = []
+            v = dst
+            pos = 1  # preorder number of v's visit
+            w_pre = 0  # weight of the chain below v, dst excluded
+            r_pre = 0  # rank offset of v's subtree among dst's paths
+            while v is not None:
+                _cnt, _paths, children, offsets = infos[v]
+                entry = pos + 1
+                v = None
+                for p, off in zip(children, offsets):
+                    p_cnt = infos[p][0]
+                    if entry + p_cnt - 1 <= max_visits:
+                        pieces.append(
+                            (w_pre + weight[p], r_pre + off, self.kbest(p))
+                        )
+                        entry += p_cnt
+                        continue
+                    if entry <= max_visits:
+                        # The cap falls inside p's subtree: walk down it.
+                        v = p
+                        pos = entry
+                        w_pre += weight[p]
+                        r_pre += off
+                    break
+            kept = _merge_kbest(pieces, self.k)
+        ranks = sorted(rank for _w, group in kept for rank in group)
+        return [self.unrank(dst, rank) for rank in ranks]
+
+    def unrank(self, dst: int, rank: int) -> Tuple[int, ...]:
+        """The ``(src, ..., dst)`` encoding of ``dst``'s path ``rank``."""
+        infos = self.infos
+        src = self.src
+        nodes = [dst]
+        v = dst
+        while v != src:
+            _cnt, _paths, children, offsets = infos[v]
+            if len(children) == 1:
+                v = children[0]
+            else:
+                j = bisect_right(offsets, rank) - 1
+                rank -= offsets[j]
+                v = children[j]
+            nodes.append(v)
+        nodes.reverse()
+        return tuple(nodes)
+
+
+def _search_dfs(
+    interner: GraphInterner,
+    src: int,
+    dst: int,
+    limits: PathSearchLimits,
+) -> List[Tuple[int, ...]]:
+    """The search by depth-first enumeration (all rounds; the semantics
+    :func:`_search_enc` states).
 
     Two mechanical choices keep the hot loop tight:
 
@@ -197,15 +459,8 @@ def _search_enc(
       the cap records nothing and changes nothing after it — the visit
       sequence up to the cap is identical, so the kept results and the
       final counter are those of a search that stops exactly at the cap.
-
-    ``tests/data/paths_golden.jsonl`` pins the exact output of this
-    search for every endpoint pair the four suites search.  Returns
-    encodings; callers decode (or cache the encodings directly).
     """
     dist = interner.dist_from(src)
-    if dist[dst] < 0:
-        return []
-
     preds_of = interner.sorted_preds(src)
     rows = interner._preds_memo[src]
     weight = interner.weight

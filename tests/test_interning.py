@@ -141,6 +141,17 @@ class TestSearchIdentity:
         if suite == "astmatcher":
             assert domain.path_limits.max_visits == 30_000
 
+    @pytest.mark.parametrize("suite", ["toy", "textediting", "spreadsheet"])
+    def test_dist_from_matches_graph_bfs(self, suite, toy_graph):
+        """The interner's int-space BFS gives the graph's own distances."""
+        graph = toy_graph if suite == "toy" else load_domain(suite).graph
+        interner = interner_for(graph)
+        for src, node_id in enumerate(interner.node_ids):
+            expected = [-1] * interner.n
+            for other, d in graph.distances_from(node_id).items():
+                expected[interner.index[other]] = d
+            assert interner.dist_from(src) == expected
+
     def test_sentinel_terminates_rows(self, toy_graph):
         interner = interner_for(toy_graph)
         src = _api_int(interner, "INSERT")
