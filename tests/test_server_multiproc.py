@@ -2,19 +2,23 @@
 
 Two layers:
 
-* unit tests for the building blocks — atomic port files, the per-worker
-  stats seats, and the cross-worker ``/stats`` merge;
+* unit tests for the building blocks — atomic port files, the shared
+  listener, the per-worker stats seats, and the cross-worker ``/stats``
+  merge;
 * one real 2-worker cluster (a ``repro serve --http 0 --workers 2``
   subprocess) shared by the process-level tests: distinct worker
-  identities, server-wide stats aggregation, ``/admin/reload`` and
-  SIGHUP fan-out, crash restart, and the graceful SIGTERM drain.
+  identities, server-wide stats aggregation, keep-alive round-trip
+  latency, ``/admin/reload`` and SIGHUP fan-out, crash restart, and the
+  graceful SIGTERM drain.
 """
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -22,6 +26,8 @@ import pytest
 from repro import Synthesizer, load_domain
 from repro.client import HttpClient
 from repro.errors import ReproError
+from repro.server import ServerConfig, SynthesisService
+from repro.server.http import SynthesisHTTPServer
 from repro.server.multiproc import (
     WorkerStatsBoard,
     bind_listener,
@@ -29,6 +35,7 @@ from repro.server.multiproc import (
     run_supervisor,
     write_port_file,
 )
+from tests.test_server import _median_ms
 
 QUERY = "print every line"
 
@@ -84,6 +91,35 @@ class TestRunSupervisorValidation:
                 bind_listener("127.0.0.1", port)
         finally:
             sock.close()
+
+
+class TestSharedListener:
+    def test_losing_an_accept_race_does_not_block_the_serve_loop(self):
+        """Every worker on the shared listener is woken per connection
+        and only one wins it; each loser then calls accept() with nothing
+        pending.  That call must return, or the loser's serve loop (and
+        so its SIGTERM drain) waits for some later connection."""
+        service = SynthesisService(ServerConfig(domains=("textediting",)))
+        listener = bind_listener("127.0.0.1", 0)
+        port = listener.getsockname()[1]
+        server = SynthesisHTTPServer(
+            ("127.0.0.1", port), service, sock=listener
+        )
+        # The step serve_forever() takes after select() reports the
+        # listener readable.
+        step = threading.Thread(
+            target=server._handle_request_noblock, daemon=True
+        )
+        try:
+            step.start()
+            step.join(timeout=5.0)
+            assert not step.is_alive(), "accept() blocked"
+        finally:
+            if step.is_alive():  # release the blocked accept()
+                socket.create_connection(("127.0.0.1", port)).close()
+                step.join(timeout=5.0)
+            listener.close()
+            service.close()
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +315,17 @@ class TestMultiWorkerCluster:
             >= before + n_requests,
             timeout=30.0,
         ), _merged_stats(client)
+
+    def test_back_to_back_round_trips_do_not_stall(self, cluster):
+        """Workers serve through the same handler as ``serve --http``:
+        with TCP_NODELAY, a reused keep-alive connection answers without
+        the ~40 ms delayed-ACK stall."""
+        _, client, _ = cluster
+        assert client.synthesize(QUERY)["status"] == "ok"  # warm
+        healthz = _median_ms(lambda: client.request("GET", "/healthz"))
+        synthesize = _median_ms(lambda: client.synthesize(QUERY))
+        assert healthz < 20.0, healthz
+        assert synthesize < 20.0, synthesize
 
     def test_admin_reload_fans_out_to_all_workers(self, cluster):
         _, client, _ = cluster
