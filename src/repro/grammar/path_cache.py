@@ -36,6 +36,13 @@ them as flat arrays:
 ``outcomes``
     an opaque memo for whole synthesis outcomes, used by
     :class:`~repro.synthesis.pipeline.Synthesizer` for repeated queries.
+``edges``
+    ``(endpoint node-id pairs, limits.cache_key(), catalog edge number)``
+    -> one dependency edge's capped, labeled candidate paths, built by
+    :class:`~repro.synthesis.problem.SynthesisProblem`.  Literal variants
+    of a query resolve to the same endpoints, so they skip the cap's
+    sort and the relabeling.  A fixed size, no environment override,
+    never persisted and not part of :meth:`snapshot`.
 
 Every layer is a bounded LRU with hit/miss/eviction counters (surfaced via
 :meth:`snapshot` and, per query, in
@@ -117,6 +124,8 @@ DEFAULT_MAX_CONFLICT_ENTRIES = 4096
 DEFAULT_MAX_SIZE_ENTRIES = 65536
 DEFAULT_MAX_MERGE_ENTRIES = 65536
 DEFAULT_MAX_OUTCOME_ENTRIES = 2048
+#: Per-edge labeled path lists kept (``SynthesisProblem``).
+EDGE_ENTRIES = 4096
 
 #: Layer name -> (env var, library default).  ``REPRO_CACHE_MAX_*`` lets a
 #: deployment resize every domain's caches without touching code, which is
@@ -275,6 +284,8 @@ class PathCache:
         self.sizes = LruCache(self.capacities["sizes"])
         self.merge = LruCache(self.capacities["merge"])
         self.outcomes = LruCache(self.capacities["outcomes"])
+        #: Per-edge labeled candidate paths (``SynthesisProblem``).
+        self.edges = LruCache(EDGE_ENTRIES)
         self.invalidations = 0
 
     def layer(self, name: str) -> LruCache:
@@ -410,7 +421,8 @@ class PathCache:
         """Explicit invalidation: drop every entry (counters survive, so
         long-lived deltas remain meaningful)."""
         for layer in (
-            self.paths, self.conflicts, self.sizes, self.merge, self.outcomes
+            self.paths, self.conflicts, self.sizes, self.merge, self.outcomes,
+            self.edges,
         ):
             layer.clear()
         self.invalidations += 1

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.grammar.graph import GrammarGraph, NodeKind
 from repro.grammar.interning import GraphInterner, interner_for
@@ -615,13 +615,23 @@ class PathCatalog:
     def register_edge(self, paths: Iterable[GrammarPath]) -> List[GrammarPath]:
         """Register one dependency edge's candidate paths; returns them with
         their final ids assigned."""
+        return self.adopt_edge(self.label(self._edge_count + 1, paths))
+
+    @staticmethod
+    def label(edge: int, paths: Iterable[GrammarPath]) -> List[GrammarPath]:
+        """``paths`` with the ids ``edge.1, edge.2, ...``."""
+        return [
+            path.with_id(f"{edge}.{k}") for k, path in enumerate(paths, start=1)
+        ]
+
+    def adopt_edge(self, labeled: Sequence[GrammarPath]) -> List[GrammarPath]:
+        """Register the next edge's paths, already labeled by
+        :meth:`label` with that edge's number."""
         self._edge_count += 1
-        labeled: List[GrammarPath] = []
-        for k, path in enumerate(paths, start=1):
-            final = path.with_id(f"{self._edge_count}.{k}")
-            self._by_id[final.path_id] = final
-            labeled.append(final)
-        return labeled
+        by_id = self._by_id
+        for path in labeled:
+            by_id[path.path_id] = path
+        return list(labeled)
 
     def get(self, path_id: str) -> GrammarPath:
         return self._by_id[path_id]

@@ -125,16 +125,16 @@ class SynthesisProblem:
     # Path computation (Step-4)
     # ------------------------------------------------------------------
 
-    def _paths_for_pair(
+    def _raw_paths(
         self,
         src: EndpointCandidate,
         dst: EndpointCandidate,
-    ) -> List[CandidatePath]:
+    ) -> Sequence[GrammarPath]:
         if src.node_id == dst.node_id:
             # Two query words may not collapse onto one API occurrence: a
             # dependency edge must correspond to a non-trivial grammar
             # relation.
-            return []
+            return ()
         key = (src.node_id, dst.node_id)
         raw = self._path_cache.get(key)
         if raw is None:
@@ -143,54 +143,69 @@ class SynthesisProblem:
                 src.node_id, dst.node_id, self.limits, on_miss=on_miss
             )
             self._path_cache[key] = raw
-        return [CandidatePath(p, src, dst) for p in raw]
+        return raw
 
-    def _cap_edge_paths(
-        self, found: List[CandidatePath]
+    def _register(
+        self, pairs: List[Tuple[EndpointCandidate, EndpointCandidate]]
     ) -> List[CandidatePath]:
-        """Keep at most ``max_paths_per_edge`` candidates, lightest first
-        (weighted size, then length; stable on discovery order)."""
-        cap = self.limits.max_paths_per_edge
-        if len(found) <= cap:
-            return found
-        interner = self.domain.path_cache.interner
-        size_of = interner.size_of_enc
-        path_ints = interner.path_ints
-        decorated = sorted(
-            (size_of(path_ints(cp.path.nodes)), len(cp.path), i)
-            for i, cp in enumerate(found)
+        """The candidate paths of one edge: every endpoint pair's paths in
+        discovery order, at most ``max_paths_per_edge`` of them, lightest
+        first (weighted size, then length; stable on discovery order),
+        with ids assigned by the catalog."""
+        # Looked up even when the memo below hits: a lookup is cheap, and
+        # it keeps the paths layer's counters and the overlay that
+        # relocation variants share what they were without the memo.
+        raws = [self._raw_paths(src, dst) for src, dst in pairs]
+        # Which paths survive the cap, and their labels, depend only on
+        # the endpoint node ids and the edge's catalog number, so literal
+        # variants of one query share them.
+        catalog = self.catalog
+        edge = catalog.n_edges + 1
+        key = (
+            tuple((src.node_id, dst.node_id) for src, dst in pairs),
+            self.limits.cache_key(),
+            edge,
         )
-        kept_ids = sorted(i for _size, _len, i in decorated[:cap])
-        return [found[i] for i in kept_ids]
+        labeled, owners = self.domain.path_cache.edges.get_or_compute(
+            key, lambda: self._select(raws, edge)
+        )
+        catalog.adopt_edge(labeled)
+        return [
+            CandidatePath(lp, *pairs[k]) for lp, k in zip(labeled, owners)
+        ]
+
+    def _select(
+        self, raws: List[Sequence[GrammarPath]], edge: int
+    ) -> Tuple[Tuple[GrammarPath, ...], Tuple[int, ...]]:
+        """(paths labeled for catalog edge ``edge``, owning pair index of
+        each) of one edge whose pairs found ``raws``."""
+        kept = [(k, j) for k, raw in enumerate(raws) for j in range(len(raw))]
+        cap = self.limits.max_paths_per_edge
+        if len(kept) > cap:
+            interner = self.domain.path_cache.interner
+            size_of = interner.size_of_enc
+            path_ints = interner.path_ints
+            decorated = sorted(
+                (size_of(path_ints(raws[k][j].nodes)), len(raws[k][j]), k, j)
+                for k, j in kept
+            )
+            kept = sorted((k, j) for _size, _len, k, j in decorated[:cap])
+        labeled = PathCatalog.label(edge, [raws[k][j] for k, j in kept])
+        return tuple(labeled), tuple(k for k, _j in kept)
 
     def compute_edge_paths(self, edge: DepEdge) -> List[CandidatePath]:
         """Candidate paths for one dependency edge (every governor candidate
         x every dependent candidate), ids assigned by the catalog."""
-        found: List[CandidatePath] = []
-        for src in self.candidates.get(edge.gov, ()):
-            if src.is_literal:
-                continue  # a literal can never govern
-            for dst in self.candidates.get(edge.dep, ()):
-                found.extend(self._paths_for_pair(src, dst))
-        found = self._cap_edge_paths(found)
-        labeled = self.catalog.register_edge([cp.path for cp in found])
-        return [
-            CandidatePath(lp, cp.src_candidate, cp.dst_candidate)
-            for lp, cp in zip(labeled, found)
-        ]
+        return self._register([
+            (src, dst)
+            for src in self.candidates.get(edge.gov, ())
+            if not src.is_literal  # a literal can never govern
+            for dst in self.candidates.get(edge.dep, ())
+        ])
 
     def _compute_all_paths(self) -> None:
         # Virtual root edge first (the paper's edge "1").
-        start = start_candidate(self.domain.graph)
-        root_found: List[CandidatePath] = []
-        for dst in self.candidates.get(self.dep_graph.root, ()):
-            root_found.extend(self._paths_for_pair(start, dst))
-        root_found = self._cap_edge_paths(root_found)
-        labeled = self.catalog.register_edge([cp.path for cp in root_found])
-        self.root_paths = [
-            CandidatePath(lp, cp.src_candidate, cp.dst_candidate)
-            for lp, cp in zip(labeled, root_found)
-        ]
+        self.root_paths = self.start_attach_paths(self.dep_graph.root)
         for edge in self.dep_graph.edges():
             self.edge_paths[(edge.gov, edge.dep)] = self.compute_edge_paths(edge)
 
@@ -206,15 +221,9 @@ class SynthesisProblem:
         candidates — the expensive treatment HISyn gives orphans, also the
         fallback for orphans relocation cannot place (Sec. V-B)."""
         start = start_candidate(self.domain.graph)
-        found: List[CandidatePath] = []
-        for dst in self.candidates.get(node_id, ()):
-            found.extend(self._paths_for_pair(start, dst))
-        found = self._cap_edge_paths(found)
-        labeled = self.catalog.register_edge([cp.path for cp in found])
-        return [
-            CandidatePath(lp, cp.src_candidate, cp.dst_candidate)
-            for lp, cp in zip(labeled, found)
-        ]
+        return self._register(
+            [(start, dst) for dst in self.candidates.get(node_id, ())]
+        )
 
     def orphan_nodes(self) -> List[int]:
         """Dependents of edges with no candidate grammar path (Sec. V-B):

@@ -82,6 +82,54 @@ class TestEdgePaths:
         )
 
 
+class TestEdgeMemo:
+    """Labeled edge paths are memoized per endpoint node ids, limits and
+    catalog edge number, so literal variants of a query share them."""
+
+    @staticmethod
+    def _edges(prob):
+        return [
+            [(cp.path_id, cp.path.nodes) for cp in prob.paths_of(edge)]
+            for edge in prob.dep_graph.edges()
+        ]
+
+    def test_literal_variants_share_labeled_paths(self, toy_domain):
+        first = build_problem(toy_domain, 'insert ":"')
+        hits = toy_domain.path_cache.edges.hits
+        second = build_problem(toy_domain, 'insert ";"')
+        assert toy_domain.path_cache.edges.hits > hits
+        lit = next(n for n in second.dep_graph.nodes() if n.is_literal)
+        (edge,) = [e for e in second.dep_graph.edges() if e.dep == lit.node_id]
+        ours, theirs = second.paths_of(edge), first.paths_of(edge)
+        assert ours and [cp.path for cp in ours] == [cp.path for cp in theirs]
+        assert all(a.path is b.path for a, b in zip(ours, theirs))
+        # The shared paths carry this query's own literal.
+        assert {cp.dst_candidate.value for cp in ours} == {";"}
+        assert {cp.dst_candidate.value for cp in theirs} == {":"}
+
+    def test_memo_hit_matches_fresh_computation(self, toy_domain):
+        query = "insert a string containing numbers"
+        warm = build_problem(toy_domain, query)
+        again = build_problem(toy_domain, query)
+        toy_domain.path_cache.clear()
+        assert len(toy_domain.path_cache.edges) == 0
+        fresh = build_problem(toy_domain, query)
+        assert self._edges(again) == self._edges(warm) == self._edges(fresh)
+        assert [cp.path_id for cp in again.root_paths] == [
+            cp.path_id for cp in fresh.root_paths
+        ]
+
+    def test_limits_do_not_share_entries(self, toy_domain):
+        capped = build_problem(
+            toy_domain, "delete numbers",
+            limits=PathSearchLimits(max_paths_per_edge=1),
+        )
+        full = build_problem(toy_domain, "delete numbers")
+        for edge in full.dep_graph.edges():
+            assert len(capped.paths_of(edge)) <= 1
+        assert full.total_paths() > capped.total_paths()
+
+
 class TestOrphans:
     def test_orphan_detected(self, toy_domain):
         # "string containing numbers": STRING has no path to CONTAINS.
