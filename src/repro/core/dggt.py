@@ -57,6 +57,7 @@ from repro.synthesis.deadline import Deadline
 from repro.synthesis.problem import (
     CandidatePath,
     EndpointCandidate,
+    PairGroups,
     SynthesisProblem,
 )
 from repro.synthesis.result import SynthesisOutcome, SynthesisStats
@@ -203,7 +204,7 @@ class DggtEngine:
             if len(effective) == 1:
                 edge = effective[0]
                 self._case_one(
-                    dyng, node_id, edge.dep, problem.paths_of(edge), stats
+                    dyng, node_id, edge.dep, problem.groups_of(edge), stats
                 )
             else:
                 gov_cands = [
@@ -238,9 +239,7 @@ class DggtEngine:
             virtual_entries[orphan] = problem.start_attach_paths(orphan)
 
         if len(virtual_entries) == 1:
-            self._case_one(
-                dyng, VIRTUAL, dep.root, virtual_entries[dep.root], stats
-            )
+            self._case_one(dyng, VIRTUAL, dep.root, problem.root_groups, stats)
         else:
             start_cand = EndpointCandidate(node_id=graph.start_id)
             self._case_two(
@@ -275,22 +274,49 @@ class DggtEngine:
         dyng: InternedDynamicGraph,
         gov_dep_id: int,
         child_dep_id: int,
-        paths: Sequence[CandidatePath],
+        groups: PairGroups,
         stats: SynthesisStats,
     ) -> None:
-        interner = dyng.interner
-        path_ints = interner.path_ints
+        """Offer each endpoint pair's paths lightest first, stopping at
+        the first that cannot beat the target slot.
+
+        Within one pair the predecessor slot, the target slot and the
+        rank are fixed, and the target only improves as offers land, so
+        every later path of the pair (as heavy or heavier, same rank)
+        would lose too; ``docs/algorithms.md`` has the argument.  A path
+        ``offer_path`` turns down for a binding conflict or an invalid
+        join does not stop the walk.  The counters still count every
+        path whose predecessor slot exists."""
+        size_of = dyng.interner.size_of_enc
+        offer_path = dyng.offer_path
         slot_get = dyng._slot.get
-        base = (child_dep_id + 1) * dyng.n
-        for cp in paths:
-            enc = path_ints(cp.path.nodes)
-            pred_slot = slot_get(base + enc[-1])
+        sizes = dyng._size
+        ranks = dyng._rank
+        n = dyng.n
+        base = (child_dep_id + 1) * n
+        gov_base = (gov_dep_id + 1) * n
+        offered = 0
+        for group in groups:
+            first = group[0]
+            pred_slot = slot_get(base + first.enc[-1])
             if pred_slot is None:
                 continue
-            dyng.offer_path(gov_dep_id, cp, enc, pred_slot)
-            stats.n_combinations += 1
-            stats.n_merged += 1
-            stats.n_valid_cgts += 1
+            offered += len(group)
+            pred_size = sizes[pred_slot]
+            rank = first.src_candidate.rank + ranks[pred_slot]
+            target = gov_base + first.enc[0]
+            for cp in group:
+                slot = slot_get(target)
+                if slot is not None:
+                    size = size_of(cp.enc) + pred_size
+                    if size > sizes[slot] or (
+                        size == sizes[slot] and rank > ranks[slot]
+                    ):
+                        break
+                offer_path(gov_dep_id, cp, cp.enc, pred_slot)
+        stats.n_combinations += offered
+        stats.n_merged += offered
+        stats.n_valid_cgts += offered
 
     # ------------------------------------------------------------------
     # Case II: sibling edges (Algorithm 1 lines 12-22)
@@ -307,9 +333,7 @@ class DggtEngine:
         cache: Optional[PathCache] = None,
     ) -> None:
         child_ids = sorted(entries)
-        interner = dyng.interner
-        index = interner.index
-        path_ints = interner.path_ints
+        index = dyng.interner.index
         slot_get = dyng._slot.get
         n = dyng.n
         for gov_cand in gov_candidates:
@@ -322,7 +346,7 @@ class DggtEngine:
                 base = (child + 1) * n
                 usable: List[Tuple[CandidatePath, IntPath, int]] = []
                 for cp in entries[child]:
-                    enc = path_ints(cp.path.nodes)
+                    enc = cp.enc
                     if enc[0] != gov_int:
                         continue
                     pred_slot = slot_get(base + enc[-1])

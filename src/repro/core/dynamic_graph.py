@@ -51,9 +51,8 @@ class InternedDynamicGraph:
                           bitmask algebra (edges / children / taken choice
                           non-terminals).  Edge unions are single bigint
                           ORs and validity checks are popcounts; the
-                          sorted edge-code tuple the final tie-break
-                          compares is only materialized on a full
-                          (size, rank, edge count) tie, which is rare.
+                          final tie-break looks only at the edges the two
+                          masks do not share (:meth:`offer`).
     ``_bind``             literal bindings keyed by interned node int.
                           Binding dicts are treated as immutable and
                           shared between slots when a merge adds nothing.
@@ -73,7 +72,6 @@ class InternedDynamicGraph:
         "_dmask",
         "_onmask",
         "_bind",
-        "_etup",
         "n_pcgt_nodes",
     )
 
@@ -87,8 +85,6 @@ class InternedDynamicGraph:
         self._dmask: List[int] = []
         self._onmask: List[int] = []
         self._bind: List[Dict[int, str]] = []
-        # edge mask -> its sorted edge-code tuple (tie-break comparisons)
-        self._etup: Dict[int, Tuple[int, ...]] = {}
         self.n_pcgt_nodes = 0
 
     # ------------------------------------------------------------------
@@ -130,17 +126,6 @@ class InternedDynamicGraph:
     # Updates
     # ------------------------------------------------------------------
 
-    def _edges_tuple(self, em: int) -> Tuple[int, ...]:
-        """Sorted edge codes of a mask, memoized — only full tie-breaks
-        and test accessors need the tuple form."""
-        cached = self._etup.get(em)
-        if cached is None:
-            codes = self.interner.edge_codes_of_mask(em)
-            codes.sort()
-            cached = tuple(codes)
-            self._etup[em] = cached
-        return cached
-
     def offer(
         self,
         key_int: int,
@@ -153,10 +138,12 @@ class InternedDynamicGraph:
     ) -> None:
         """Install (size, rank, partial CGT) at ``key_int`` if it beats
         the memo: smaller size, then smaller rank, then fewer edges, then
-        the lexicographically smaller sorted edge set.  Edge counts come
-        from popcounts; the sorted-tuple comparison (int-code order ==
-        string edge-pair order) only happens on a full tie between
-        distinct edge sets."""
+        the lexicographically smaller sorted edge set (int-code order ==
+        string edge-pair order).  Edge counts come from popcounts.  Of two
+        distinct edge sets of one size, the lexicographically smaller
+        sorted tuple is the one holding the least code of their symmetric
+        difference (every smaller code is in both or neither), so a full
+        tie decodes only the differing edges."""
         slot = self._slot.get(key_int)
         if slot is None:
             self._slot[key_int] = len(self._size)
@@ -182,10 +169,13 @@ class InternedDynamicGraph:
                 n_cur = cur_emask.bit_count()
                 if n_new > n_cur:
                     return
-                if n_new == n_cur and self._edges_tuple(
-                    emask
-                ) >= self._edges_tuple(cur_emask):
-                    return
+                if n_new == n_cur:
+                    interner = self.interner
+                    least = min(
+                        interner.edge_codes_of_mask(emask ^ cur_emask)
+                    )
+                    if not (emask >> interner._edge_bit[least]) & 1:
+                        return
         self._size[slot] = size
         self._rank[slot] = rank
         self._emask[slot] = emask

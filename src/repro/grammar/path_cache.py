@@ -19,9 +19,10 @@ the domain's :class:`~repro.grammar.interning.GraphInterner` encodings
 them as flat arrays:
 
 ``paths``
-    ``(src_int, dst_int, limits.cache_key())`` -> :class:`_PathsEntry`
-    holding the paths' int encodings plus a lazily decoded tuple of raw
-    :class:`GrammarPath` (ids unassigned; per-query catalogs relabel).
+    ``(src_int, dst_int, limits.cache_key())`` -> the pair's paths as
+    int encodings, in discovery order.  Nothing is decoded here: node-id
+    strings and :class:`GrammarPath` objects are built per edge, only for
+    the paths the per-edge cap keeps (``edges`` below).
 ``conflicts``
     frozenset of path encodings -> conflict pairs expressed over
     encodings (path *ids* are per-query labels, so they cannot key a
@@ -38,11 +39,13 @@ them as flat arrays:
     :class:`~repro.synthesis.pipeline.Synthesizer` for repeated queries.
 ``edges``
     ``(endpoint node-id pairs, limits.cache_key(), catalog edge number)``
-    -> one dependency edge's capped, labeled candidate paths, built by
-    :class:`~repro.synthesis.problem.SynthesisProblem`.  Literal variants
-    of a query resolve to the same endpoints, so they skip the cap's
-    sort and the relabeling.  A fixed size, no environment override,
-    never persisted and not part of :meth:`snapshot`.
+    -> one dependency edge's capped, labeled candidate paths with their
+    encodings, owning pairs, and each pair's kept paths lightest first,
+    built by :class:`~repro.synthesis.problem.SynthesisProblem`.  Literal
+    variants of a query resolve to the same endpoints, so they skip the
+    cap's sort, the decoding and the relabeling.  A fixed size, no
+    environment override, never persisted and not part of
+    :meth:`snapshot`.
 
 Every layer is a bounded LRU with hit/miss/eviction counters (surfaced via
 :meth:`snapshot` and, per query, in
@@ -89,7 +92,7 @@ from typing import (
 from repro.errors import CacheSnapshotError
 from repro.grammar.graph import GrammarGraph
 from repro.grammar.interning import IntPath, interner_for
-from repro.grammar.paths import GrammarPath, PathSearchLimits, _search_enc
+from repro.grammar.paths import PathSearchLimits, _search_enc
 from repro.grammar.path_voted import (
     conflict_enc_pairs,
     conflict_mask_records,
@@ -99,25 +102,6 @@ from repro.grammar.path_voted import (
 #: are common and perfectly cacheable).
 _MISSING = object()
 
-
-class _PathsEntry:
-    """One paths-layer value: the interned encodings plus the decoded
-    :class:`GrammarPath` tuple, filled lazily.
-
-    Snapshots store only ``encs`` (flat int tuples); a loaded entry
-    decodes on first use, sharing the interner's node-id strings — which
-    is what makes warmed-snapshot loads nearly zero-copy instead of
-    rebuilding string-keyed structures up front."""
-
-    __slots__ = ("encs", "paths")
-
-    def __init__(
-        self,
-        encs: Tuple[IntPath, ...],
-        paths: Optional[Tuple[GrammarPath, ...]] = None,
-    ):
-        self.encs = encs
-        self.paths = paths
 
 DEFAULT_MAX_PATH_ENTRIES = 8192
 DEFAULT_MAX_CONFLICT_ENTRIES = 4096
@@ -303,54 +287,35 @@ class PathCache:
         dst_id: str,
         limits: Optional[PathSearchLimits] = None,
         on_miss: Optional[Callable[[], None]] = None,
-    ) -> Tuple[GrammarPath, ...]:
-        """Memoized reversed all-path search for one endpoint pair.
+    ) -> Tuple[IntPath, ...]:
+        """Memoized reversed all-path search for one endpoint pair, as
+        interned encodings in discovery order.
 
-        ``on_miss`` runs before a cache-missing DFS (the problem layer
+        ``on_miss`` runs before a cache-missing search (the problem layer
         passes its deadline check, so cache hits never pay the clock read
         and misses still honour the budget).  Results are tuples: cached
-        lists must never be mutated by callers.  Keys are interned ints;
+        values must never be mutated by callers.  Keys are interned ints;
         endpoints outside the grammar short-circuit to an empty result
         without touching the cache.
         """
         limits = limits or PathSearchLimits()
-        interner = self.interner
-        index = interner.index
+        index = self.interner.index
         src_int = index.get(src_id)
         dst_int = index.get(dst_id)
         if src_int is None or dst_int is None:
             return ()
         key = (src_int, dst_int, limits.cache_key())
-        entry = self.paths.get(key)
-        if entry is not _MISSING:
-            paths = entry.paths
-            if paths is None:  # snapshot-loaded entry: decode on first use
-                decode = interner.decode_nodes
-                paths = tuple(
-                    GrammarPath("?", decode(enc)) for enc in entry.encs
-                )
-                entry.paths = paths
-            return paths
+        encs = self.paths.get(key)
+        if encs is not _MISSING:
+            return encs
         if on_miss is not None:
             on_miss()
-        # Search directly in int space: the cache stores the encodings
-        # the search produced, with no re-interning round trip, and
-        # back-memoizes each decoded node tuple so downstream
-        # ``path_ints`` calls are hits.
         if src_int == dst_int:
             encs = ((src_int,),)
         else:
-            encs = tuple(_search_enc(interner, src_int, dst_int, limits))
-        decode = interner.decode_nodes
-        path_memo = interner._path_memo
-        decoded = []
-        for enc in encs:
-            nodes = decode(enc)
-            path_memo[nodes] = enc
-            decoded.append(GrammarPath("?", nodes))
-        raw = tuple(decoded)
-        self.paths.put(key, _PathsEntry(encs, raw))
-        return raw
+            encs = tuple(_search_enc(self.interner, src_int, dst_int, limits))
+        self.paths.put(key, encs)
+        return encs
 
     # ------------------------------------------------------------------
     # Conflict-pair layer
@@ -432,19 +397,11 @@ class PathCache:
     # ------------------------------------------------------------------
 
     def export_entries(self) -> Dict[str, List[Tuple[Any, Any]]]:
-        """The persistable layers' entries, oldest-first per layer.
-
-        The paths layer exports encodings only (flat int tuples) — the
-        decoded :class:`GrammarPath` objects are a per-process
-        convenience, not part of the snapshot format.
-        """
-        out: Dict[str, List[Tuple[Any, Any]]] = {}
-        for name in self.PERSISTED_LAYERS:
-            items = self.layer(name).items()
-            if name == "paths":
-                items = [(key, entry.encs) for key, entry in items]
-            out[name] = items
-        return out
+        """The persistable layers' entries, oldest-first per layer (all
+        ints and int tuples)."""
+        return {
+            name: self.layer(name).items() for name in self.PERSISTED_LAYERS
+        }
 
     def import_entries(
         self, layers: Dict[str, List[Tuple[Any, Any]]]
@@ -453,19 +410,13 @@ class PathCache:
 
         Entries are inserted oldest-first, so when a layer's capacity here
         is smaller than the snapshot's, the LRU keeps the most recently
-        used tail — the same entries a live cache would have kept.  Path
-        entries stay encoded until first use (lazy decode).
+        used tail — the same entries a live cache would have kept.
         """
         kept = 0
         for name in self.PERSISTED_LAYERS:
             lru = self.layer(name)
-            entries = layers.get(name, ())
-            if name == "paths":
-                for key, encs in entries:
-                    lru.put(key, _PathsEntry(tuple(encs)))
-            else:
-                for key, value in entries:
-                    lru.put(key, value)
+            for key, value in layers.get(name, ()):
+                lru.put(key, value)
             kept += len(lru)
         return kept
 

@@ -615,13 +615,18 @@ class PathCatalog:
     def register_edge(self, paths: Iterable[GrammarPath]) -> List[GrammarPath]:
         """Register one dependency edge's candidate paths; returns them with
         their final ids assigned."""
-        return self.adopt_edge(self.label(self._edge_count + 1, paths))
+        return self.adopt_edge(
+            self.label(self._edge_count + 1, (path.nodes for path in paths))
+        )
 
     @staticmethod
-    def label(edge: int, paths: Iterable[GrammarPath]) -> List[GrammarPath]:
-        """``paths`` with the ids ``edge.1, edge.2, ...``."""
+    def label(
+        edge: int, node_tuples: Iterable[Tuple[str, ...]]
+    ) -> List[GrammarPath]:
+        """Paths over ``node_tuples`` with the ids ``edge.1, edge.2, ...``."""
         return [
-            path.with_id(f"{edge}.{k}") for k, path in enumerate(paths, start=1)
+            GrammarPath(f"{edge}.{k}", nodes)
+            for k, nodes in enumerate(node_tuples, start=1)
         ]
 
     def adopt_edge(self, labeled: Sequence[GrammarPath]) -> List[GrammarPath]:

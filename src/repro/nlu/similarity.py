@@ -37,6 +37,75 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
+def bounded_levenshtein(a: str, b: str, k: int) -> int:
+    """``levenshtein(a, b)`` when it is at most ``k``; otherwise ``k + 1``.
+
+    Strips the common prefix and suffix, then fills only the diagonal
+    band ``|i - j| <= k`` of the DP with every cell capped at ``k + 1``:
+    a cell outside the band is at least its offset from the diagonal, so
+    capping it loses nothing, and the capped recurrence yields
+    ``min(distance, k + 1)``.  Stops early once a whole band row exceeds
+    ``k``.
+    """
+    if k < 0:
+        return k + 1
+    if a == b:
+        return 0
+    beyond = k + 1
+    start = 0
+    shortest = min(len(a), len(b))
+    while start < shortest and a[start] == b[start]:
+        start += 1
+    end_a, end_b = len(a), len(b)
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
+    if len(a) > len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    if m - n > k:
+        return beyond
+    if not n:
+        return m
+    previous = [j if j <= k else beyond for j in range(m + 1)]
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        lo = max(1, i - k)
+        hi = min(m, i + k)
+        current = [beyond] * (m + 1)
+        if i <= k:
+            current[0] = i
+        row_min = current[lo - 1]
+        for j in range(lo, hi + 1):
+            value = previous[j - 1] + (ca != b[j - 1])
+            if previous[j] + 1 < value:
+                value = previous[j] + 1
+            if current[j - 1] + 1 < value:
+                value = current[j - 1] + 1
+            if value > beyond:
+                value = beyond
+            current[j] = value
+            if value < row_min:
+                row_min = value
+        if row_min > k:
+            return beyond
+        previous = current
+    return previous[m]
+
+
+def edit_budget(longest: int, floor: float) -> int:
+    """The largest edit distance ``k`` whose ratio ``1.0 - k / longest``
+    still reaches ``floor`` (-1 when none does), evaluated with the very
+    float expression :func:`similarity_ratio` uses."""
+    if not longest:
+        return 0 if floor <= 1.0 else -1
+    k = longest
+    while k >= 0 and 1.0 - k / longest < floor:
+        k -= 1
+    return k
+
+
 def similarity_ratio(a: str, b: str) -> float:
     """Normalized similarity in [0, 1]: 1 - distance / max_len."""
     if not a and not b:

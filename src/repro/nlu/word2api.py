@@ -38,7 +38,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.grammar.path_cache import LruCache
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlu.docs import ApiDocument
-from repro.nlu.similarity import token_similarity
+from repro.nlu.similarity import (
+    bounded_levenshtein,
+    edit_budget,
+    prefix_similarity,
+)
 from repro.nlu.synonyms import SynonymTable
 
 
@@ -181,16 +185,30 @@ class WordToApiMatcher:
 
     def _similarity_table(self, phrase_tokens: Sequence[str]) -> Dict[str, float]:
         """Best token similarity per distinct name token over the phrase
-        tokens, skipping lengths whose bound is below the floor: a skipped
-        pair cannot reach it, so every value that can is exact."""
+        tokens, exact wherever it reaches the floor.
+
+        Lengths whose bound is below the floor are skipped, and the edit
+        distance is computed only up to the largest one whose ratio still
+        reaches the floor (:func:`~repro.nlu.similarity.edit_budget`).
+        Past it the ratio is below the floor, so the pair's value is its
+        prefix share, exact if that reaches the floor and below it
+        otherwise; every value below the floor gates to 0 alike."""
         floor = self.config.similarity_floor
         table: Dict[str, float] = {}
         for p in phrase_tokens:
             for length, tokens in self._tokens_by_length:
                 if length_similarity_bound(len(p), length) < floor:
                     continue
+                longest = max(len(p), length)
+                budget = edit_budget(longest, floor)
                 for n in tokens:
-                    table[n] = max(table.get(n, 0.0), token_similarity(p, n))
+                    sim = prefix_similarity(p, n)
+                    distance = bounded_levenshtein(p, n, budget)
+                    if distance <= budget:
+                        ratio = 1.0 - distance / longest if longest else 1.0
+                        if ratio > sim:
+                            sim = ratio
+                    table[n] = max(table.get(n, 0.0), sim)
         return table
 
     def _rank(self, phrase: str) -> List[ApiCandidate]:

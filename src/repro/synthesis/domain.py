@@ -77,6 +77,7 @@ class Domain:
     def __post_init__(self) -> None:
         self._matcher: Optional[WordToApiMatcher] = None
         self._path_cache: Optional[PathCache] = None
+        self._hashed: Optional[Tuple[GrammarGraph, str]] = None
         literal_terminals = self.literal_terminals()
         for kind, targets in self.literal_targets.items():
             unknown = set(targets) - literal_terminals
@@ -191,8 +192,17 @@ class Domain:
     # ------------------------------------------------------------------
 
     def grammar_hash(self) -> str:
-        """Content hash of the grammar graph — the snapshot freshness key."""
-        return grammar_fingerprint(self.graph)
+        """Content hash of the grammar graph — the snapshot freshness key.
+
+        Computed once per graph object: a grammar graph is immutable (a
+        pack reload builds a new ``Domain``), and hashing ASTMatcher's
+        takes tens of milliseconds, which ``GET /healthz`` would
+        otherwise pay on every call."""
+        hashed = self._hashed
+        if hashed is None or hashed[0] is not self.graph:
+            hashed = (self.graph, grammar_fingerprint(self.graph))
+            self._hashed = hashed
+        return hashed[1]
 
     def cache_file(self, cache_dir: Union[str, Path, None] = None) -> Path:
         """Where this domain's snapshot lives under ``cache_dir`` (default:

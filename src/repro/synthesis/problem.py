@@ -17,10 +17,13 @@ Both engines consume the same :class:`SynthesisProblem`:
 
 from __future__ import annotations
 
+from dataclasses import field
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compat import slotted_dataclass
 from repro.grammar.graph import GrammarGraph, api_id
+from repro.grammar.interning import IntPath
 from repro.grammar.paths import (
     GrammarPath,
     PathCatalog,
@@ -58,11 +61,16 @@ class EndpointCandidate:
 class CandidatePath:
     """A grammar path serving one dependency edge, with its endpoints'
     dependency-side interpretation.  Slotted: the engines allocate these
-    per (edge, governor candidate, dependent candidate, path)."""
+    per (edge, governor candidate, dependent candidate, path).
+
+    ``enc`` is the path's interned encoding, which the DGGT engine works
+    on; :class:`SynthesisProblem` fills it.  It is derived from ``path``,
+    so it takes no part in equality."""
 
     path: GrammarPath
     src_candidate: EndpointCandidate  # governor side (or grammar start)
     dst_candidate: EndpointCandidate  # dependent side
+    enc: IntPath = field(default=(), compare=False, repr=False)
 
     @property
     def path_id(self) -> str:
@@ -90,6 +98,12 @@ def start_candidate(graph: GrammarGraph) -> EndpointCandidate:
     return EndpointCandidate(node_id=graph.start_id, api_name=None, value=None)
 
 
+#: One edge's candidate paths grouped by endpoint pair, each group
+#: lightest first (size, then catalog order) — the order the DGGT
+#: engine's Case I walks.
+PairGroups = Tuple[Tuple[CandidatePath, ...], ...]
+
+
 class SynthesisProblem:
     """All per-query inputs either engine needs."""
 
@@ -100,7 +114,7 @@ class SynthesisProblem:
         candidates: Mapping[int, List[EndpointCandidate]],
         limits: Optional[PathSearchLimits] = None,
         deadline=None,
-        path_cache: Optional[Dict[Tuple[str, str], List[GrammarPath]]] = None,
+        path_cache: Optional[Dict[Tuple[str, str], Sequence[IntPath]]] = None,
     ):
         self.domain = domain
         self.dep_graph = dep_graph
@@ -109,16 +123,18 @@ class SynthesisProblem:
         }
         self.limits = limits or domain.path_limits
         self.deadline = deadline
-        # (src, dst) -> raw paths.  A per-problem overlay (shared with
-        # relocation variants) over the domain-wide LRU in
+        # (src, dst) -> raw path encodings.  A per-problem overlay (shared
+        # with relocation variants) over the domain-wide LRU in
         # ``domain.path_cache``: the overlay needs no locking and no limits
         # in its key; the domain cache persists pair results across queries.
-        self._path_cache: Dict[Tuple[str, str], Sequence[GrammarPath]] = (
+        self._path_cache: Dict[Tuple[str, str], Sequence[IntPath]] = (
             path_cache if path_cache is not None else {}
         )
         self.catalog = PathCatalog()
         self.edge_paths: Dict[EdgeKey, List[CandidatePath]] = {}
+        self.edge_groups: Dict[EdgeKey, PairGroups] = {}
         self.root_paths: List[CandidatePath] = []
+        self.root_groups: PairGroups = ()
         self._compute_all_paths()
 
     # ------------------------------------------------------------------
@@ -129,7 +145,7 @@ class SynthesisProblem:
         self,
         src: EndpointCandidate,
         dst: EndpointCandidate,
-    ) -> Sequence[GrammarPath]:
+    ) -> Sequence[IntPath]:
         if src.node_id == dst.node_id:
             # Two query words may not collapse onto one API occurrence: a
             # dependency edge must correspond to a non-trivial grammar
@@ -147,11 +163,12 @@ class SynthesisProblem:
 
     def _register(
         self, pairs: List[Tuple[EndpointCandidate, EndpointCandidate]]
-    ) -> List[CandidatePath]:
-        """The candidate paths of one edge: every endpoint pair's paths in
-        discovery order, at most ``max_paths_per_edge`` of them, lightest
-        first (weighted size, then length; stable on discovery order),
-        with ids assigned by the catalog."""
+    ) -> Tuple[List[CandidatePath], PairGroups]:
+        """The candidate paths of one edge — every endpoint pair's paths
+        in discovery order, capped at the ``max_paths_per_edge`` lightest
+        (weighted size, then length; stable on discovery order), with ids
+        assigned by the catalog — and the same paths grouped by pair,
+        each group lightest first."""
         # Looked up even when the memo below hits: a lookup is cheap, and
         # it keeps the paths layer's counters and the overlay that
         # relocation variants share what they were without the memo.
@@ -166,34 +183,57 @@ class SynthesisProblem:
             self.limits.cache_key(),
             edge,
         )
-        labeled, owners = self.domain.path_cache.edges.get_or_compute(
-            key, lambda: self._select(raws, edge)
+        labeled, encs, owners, lightest = (
+            self.domain.path_cache.edges.get_or_compute(
+                key, lambda: self._select(raws, edge)
+            )
         )
         catalog.adopt_edge(labeled)
-        return [
-            CandidatePath(lp, *pairs[k]) for lp, k in zip(labeled, owners)
+        cands = [
+            CandidatePath(lp, *pairs[k], enc)
+            for lp, enc, k in zip(labeled, encs, owners)
         ]
+        pick = cands.__getitem__
+        return cands, tuple(tuple(map(pick, order)) for order in lightest)
 
     def _select(
-        self, raws: List[Sequence[GrammarPath]], edge: int
-    ) -> Tuple[Tuple[GrammarPath, ...], Tuple[int, ...]]:
-        """(paths labeled for catalog edge ``edge``, owning pair index of
-        each) of one edge whose pairs found ``raws``."""
-        kept = [(k, j) for k, raw in enumerate(raws) for j in range(len(raw))]
+        self, raws: List[Sequence[IntPath]], edge: int
+    ) -> Tuple[
+        Tuple[GrammarPath, ...],
+        Tuple[IntPath, ...],
+        Tuple[int, ...],
+        Tuple[Tuple[int, ...], ...],
+    ]:
+        """One edge whose pairs found ``raws``: (its kept paths labeled
+        for catalog edge ``edge``, their encodings, the owning pair index
+        of each, and per pair with kept paths the indices of its paths
+        lightest first).  Only kept paths are decoded."""
+        interner = self.domain.path_cache.interner
+        size_of = interner.size_of_enc
+        kept = [
+            (size_of(enc), len(enc), k, j)
+            for k, raw in enumerate(raws)
+            for j, enc in enumerate(raw)
+        ]
         cap = self.limits.max_paths_per_edge
         if len(kept) > cap:
-            interner = self.domain.path_cache.interner
-            size_of = interner.size_of_enc
-            path_ints = interner.path_ints
-            decorated = sorted(
-                (size_of(path_ints(raws[k][j].nodes)), len(raws[k][j]), k, j)
-                for k, j in kept
-            )
-            kept = sorted((k, j) for _size, _len, k, j in decorated[:cap])
-        labeled = PathCatalog.label(edge, [raws[k][j] for k, j in kept])
-        return tuple(labeled), tuple(k for k, _j in kept)
+            kept.sort()
+            kept = sorted(kept[:cap], key=itemgetter(2, 3))  # discovery order
+        decode = interner.decode_nodes
+        encs = tuple(raws[k][j] for _size, _len, k, j in kept)
+        labeled = tuple(PathCatalog.label(edge, map(decode, encs)))
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for i, (size, _len, k, _j) in enumerate(kept):
+            groups.setdefault(k, []).append((size, i))
+        lightest = tuple(
+            tuple(i for _size, i in sorted(group))
+            for group in groups.values()
+        )
+        return labeled, encs, tuple(k for _s, _l, k, _j in kept), lightest
 
-    def compute_edge_paths(self, edge: DepEdge) -> List[CandidatePath]:
+    def _edge_candidates(
+        self, edge: DepEdge
+    ) -> Tuple[List[CandidatePath], PairGroups]:
         """Candidate paths for one dependency edge (every governor candidate
         x every dependent candidate), ids assigned by the catalog."""
         return self._register([
@@ -205,9 +245,14 @@ class SynthesisProblem:
 
     def _compute_all_paths(self) -> None:
         # Virtual root edge first (the paper's edge "1").
-        self.root_paths = self.start_attach_paths(self.dep_graph.root)
+        self.root_paths, self.root_groups = self._start_attach(
+            self.dep_graph.root
+        )
         for edge in self.dep_graph.edges():
-            self.edge_paths[(edge.gov, edge.dep)] = self.compute_edge_paths(edge)
+            key = (edge.gov, edge.dep)
+            self.edge_paths[key], self.edge_groups[key] = (
+                self._edge_candidates(edge)
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -216,10 +261,19 @@ class SynthesisProblem:
     def paths_of(self, edge: DepEdge) -> List[CandidatePath]:
         return list(self.edge_paths.get((edge.gov, edge.dep), ()))
 
+    def groups_of(self, edge: DepEdge) -> PairGroups:
+        """``edge``'s candidate paths per endpoint pair, lightest first."""
+        return self.edge_groups.get((edge.gov, edge.dep), ())
+
     def start_attach_paths(self, node_id: int) -> List[CandidatePath]:
         """All grammar paths from the start symbol down to a node's
         candidates — the expensive treatment HISyn gives orphans, also the
         fallback for orphans relocation cannot place (Sec. V-B)."""
+        return self._start_attach(node_id)[0]
+
+    def _start_attach(
+        self, node_id: int
+    ) -> Tuple[List[CandidatePath], PairGroups]:
         start = start_candidate(self.domain.graph)
         return self._register(
             [(start, dst) for dst in self.candidates.get(node_id, ())]

@@ -18,6 +18,7 @@ from repro.domains.textediting.queries import TEXTEDITING_QUERIES
 from repro.errors import ReproError
 from repro.grammar.graph import api_id
 from repro.grammar.path_cache import _MISSING, LruCache
+from repro.grammar.paths import GrammarPath
 from repro.synthesis.result import SynthesisStats
 
 
@@ -122,13 +123,13 @@ class TestPathCacheLayers:
     def test_path_size_matches_direct(self):
         domain = fresh_textediting()
         cache = domain.path_cache
-        path_ints = cache.interner.path_ints
+        decode = cache.interner.decode_nodes
         apis = _api_node_ids(domain)
         for src in apis[:5]:
             for dst in apis[:5]:
-                for path in cache.find_paths(src, dst):
-                    size = cache.size_of_enc(path_ints(path.nodes))
-                    assert size == path.size(domain.graph)
+                for enc in cache.find_paths(src, dst):
+                    path = GrammarPath("?", decode(enc))
+                    assert cache.size_of_enc(enc) == path.size(domain.graph)
 
     def test_conflict_pairs_use_caller_ids(self):
         # The conflict cache keys on the set of encodings; callers list
@@ -146,7 +147,7 @@ class TestPathCacheLayers:
             if len(raw) >= 2:
                 break
         assert len(raw) >= 2, "expected some multi-path API pair"
-        encs = [cache.interner.path_ints(p.nodes) for p in raw]
+        encs = list(raw)
         records = cache.conflict_masks(encs)
         hits_before = cache.conflicts.hits
         reversed_records = cache.conflict_masks(encs[::-1])

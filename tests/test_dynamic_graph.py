@@ -1,11 +1,13 @@
 """Unit tests for the dynamic grammar graph (paper Sec. IV-B.1, Fig. 5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynamic_graph import InternedDynamicGraph
 from repro.errors import SynthesisError
 from repro.grammar.graph import api_id, literal_id
-from repro.grammar.interning import interner_for
+from repro.grammar.interning import GraphInterner, interner_for
 from repro.grammar.paths import find_paths
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
 
@@ -199,3 +201,41 @@ class TestPcgt:
         assert edges == frozenset()
         assert bindings == {}
         assert size == 1 and rank == 3
+
+
+class _EdgeTable:
+    """The part of a :class:`GraphInterner` that ``offer``'s tie-break
+    reads: the dense edge-bit table, its bits handed out in an order
+    unrelated to the codes (first sight assigns them)."""
+
+    n = 1
+    edge_codes_of_mask = GraphInterner.edge_codes_of_mask
+
+    def __init__(self, codes):
+        self._bit_code = list(codes)
+        self._edge_bit = {code: bit for bit, code in enumerate(codes)}
+
+
+class TestTieBreak:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_sorted_tuple_comparison(self, data):
+        # On a full (size, rank, edge count) tie the memo keeps the
+        # lexicographically smaller sorted edge-code tuple.
+        codes = data.draw(
+            st.lists(st.integers(0, 10_000), min_size=1, max_size=40, unique=True)
+        )
+        bits = st.integers(0, len(codes) - 1)
+        count = data.draw(st.integers(1, len(codes)))
+        held = data.draw(st.sets(bits, min_size=count, max_size=count))
+        offered = data.draw(st.sets(bits, min_size=count, max_size=count))
+        dyng = InternedDynamicGraph(_EdgeTable(codes))
+        masks = [sum(1 << bit for bit in s) for s in (held, offered)]
+        for mask in masks:
+            dyng.offer(0, 3, 1, mask, 0, 0, {})
+
+        def edges(s):
+            return tuple(sorted(codes[bit] for bit in s))
+
+        expected = masks[1] if edges(offered) < edges(held) else masks[0]
+        assert dyng._emask[dyng._slot[0]] == expected

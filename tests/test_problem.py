@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SynthesisError
 from repro.grammar.graph import api_id, literal_id
+from repro.grammar.interning import GraphInterner
 from repro.grammar.paths import PathSearchLimits
 from repro.synthesis.problem import build_problem
 
@@ -128,6 +129,72 @@ class TestEdgeMemo:
         for edge in full.dep_graph.edges():
             assert len(capped.paths_of(edge)) <= 1
         assert full.total_paths() > capped.total_paths()
+
+
+class TestEncodings:
+    """Paths stay int encodings from the search to the DP; strings and
+    objects are built only for the paths an edge keeps."""
+
+    @staticmethod
+    def _edges(prob):
+        return [(prob.root_paths, prob.root_groups)] + [
+            (prob.edge_paths[key], prob.edge_groups[key])
+            for key in prob.edge_paths
+        ]
+
+    def test_find_paths_returns_int_tuples(self, toy_domain):
+        encs = toy_domain.path_cache.find_paths(
+            toy_domain.graph.start_id, api_id("NUMBERTOKEN")
+        )
+        assert isinstance(encs, tuple) and len(encs) > 1
+        for enc in encs:
+            assert isinstance(enc, tuple)
+            assert all(type(node) is int for node in enc)
+
+    def test_dropped_paths_are_never_decoded(self, toy_domain, monkeypatch):
+        decoded = []
+        original = GraphInterner.decode_nodes
+
+        def recording(self, enc):
+            decoded.append(enc)
+            return original(self, enc)
+
+        monkeypatch.setattr(GraphInterner, "decode_nodes", recording)
+        toy_domain.path_cache.clear()
+        prob = build_problem(
+            toy_domain, "delete numbers",
+            limits=PathSearchLimits(max_paths_per_edge=1),
+        )
+        kept = [cp.enc for paths, _groups in self._edges(prob) for cp in paths]
+        raw = {enc for encs in prob._path_cache.values() for enc in encs}
+        assert raw - set(kept), "the cap should drop some paths"
+        assert sorted(decoded) == sorted(kept)
+        path_memo = toy_domain.path_cache.interner._path_memo
+        for enc in raw - set(kept):
+            assert original(toy_domain.path_cache.interner, enc) not in path_memo
+
+    def test_groups_hold_each_pair_lightest_first(self, toy_domain):
+        prob = build_problem(toy_domain, 'insert ":" into lines containing numbers')
+        interner = toy_domain.path_cache.interner
+        for paths, groups in self._edges(prob):
+            assert sorted(map(id, paths)) == sorted(
+                id(cp) for group in groups for cp in group
+            )
+            position = {id(cp): i for i, cp in enumerate(paths)}
+            pairs = [
+                {(cp.src_candidate, cp.dst_candidate) for cp in group}
+                for group in groups
+            ]
+            assert all(len(pair) == 1 for pair in pairs)
+            assert len(set.union(set(), *pairs)) == len(groups)
+            for group in groups:
+                keys = [
+                    (interner.size_of_enc(cp.enc), position[id(cp)])
+                    for cp in group
+                ]
+                assert keys == sorted(keys)
+            for cp in paths:
+                assert cp.enc == interner.path_ints(cp.path.nodes)
 
 
 class TestOrphans:

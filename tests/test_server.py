@@ -965,6 +965,18 @@ class TestHttp:
         assert payload["stats"]["cache_delta_scope"] == "batch"
         assert "combinations" in payload["stats"]
 
+    def test_healthz_fast_with_astmatcher_resident(self, http_setup):
+        # Hashing ASTMatcher's grammar takes tens of milliseconds; the
+        # endpoint a load balancer polls must not pay it per call.
+        _, client = http_setup
+        assert "astmatcher" in client.health()["domains"]
+        elapsed = []
+        for _ in range(20):
+            started = time.perf_counter()
+            client.health()
+            elapsed.append(time.perf_counter() - started)
+        assert statistics.median(elapsed) < 0.010, elapsed
+
     def test_concurrent_requests_all_succeed(self, http_setup):
         _, client = http_setup
         direct = {
