@@ -121,7 +121,7 @@ class DggtEngine:
         # faces: orphan edges carry the full root-attachment path sets
         # there, not the zero paths our orphan detection sees.
         stats.n_orig_paths = problem.total_paths() + sum(
-            len(problem.start_attach_paths(orphan))
+            problem.start_attach_count(orphan)
             for orphan in problem.orphan_nodes()
         )
 

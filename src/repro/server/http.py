@@ -11,9 +11,8 @@ Endpoints (docs/serving.md is the reference):
   header (seconds, rounded up).
 * ``POST /admin/reload`` — hot reload: re-read pack-backed domains from
   disk (an edited pack swaps in a freshly built Domain) and atomically
-  swap freshly loaded cache snapshots (and process-pool workers) without
-  dropping in-flight or queued work; body is optional
-  ``{"cache_dir": "..."}``.
+  swap freshly loaded cache snapshots without dropping in-flight or
+  queued work; body is optional ``{"cache_dir": "..."}``.
 * ``GET /healthz`` — readiness: 200 while serving, 503 while draining;
   body reports domains, snapshot provenance, cache occupancy, inflight,
   and the scheduler's queue/budget state.

@@ -271,6 +271,18 @@ class SynthesisProblem:
         fallback for orphans relocation cannot place (Sec. V-B)."""
         return self._start_attach(node_id)[0]
 
+    def start_attach_count(self, node_id: int) -> int:
+        """``len(self.start_attach_paths(node_id))``, without building
+        the paths or registering a catalog edge for them: the per-edge
+        cap keeps the ``max_paths_per_edge`` lightest of the pairs'
+        paths."""
+        start = start_candidate(self.domain.graph)
+        found = sum(
+            len(self._raw_paths(start, dst))
+            for dst in self.candidates.get(node_id, ())
+        )
+        return min(found, self.limits.max_paths_per_edge)
+
     def _start_attach(
         self, node_id: int
     ) -> Tuple[List[CandidatePath], PairGroups]:

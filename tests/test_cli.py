@@ -93,6 +93,18 @@ class TestMain:
     def test_unknown_domain(self, capsys):
         assert main(["--domain", "nope", "q"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "process"], ["--pool-workers", "2"]]
+    )
+    def test_serve_has_no_process_pool_flags(self, capsys, flags):
+        # Serving spreads over cores with pre-fork --workers only.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--stdio", *flags])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro serve")
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
     def test_unsynthesizable_query(self, capsys):
         assert main(["zebra giraffe pumpkin"]) == 1
 

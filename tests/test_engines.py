@@ -41,6 +41,19 @@ class TestDggtBasics:
         assert "CONTAINS" in out.expression.apis()
         assert "NUMBERTOKEN" in out.expression.apis()
 
+    def test_orig_paths_counted_without_registering(self, toy_domain):
+        # "# of orig. path" counts the orphan's start-attachment paths;
+        # counting must not build them or take a catalog edge number.
+        problem = build_problem(toy_domain, "insert a string containing numbers")
+        (orphan,) = problem.orphan_nodes()
+        n_edges = problem.catalog.n_edges
+        out = DggtEngine().synthesize(problem)
+        assert out.stats.n_reloc_variants >= 1  # relocation placed it
+        assert problem.catalog.n_edges == n_edges
+        assert out.stats.n_orig_paths == problem.total_paths() + len(
+            problem.start_attach_paths(orphan)
+        )
+
     def test_stats_populated(self, toy_domain):
         out = synth(toy_domain, 'insert ":" into lines', DggtEngine())
         s = out.stats

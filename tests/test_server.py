@@ -128,7 +128,7 @@ class TestService:
 
     def test_config_validation(self):
         with pytest.raises(ReproError):
-            ServerConfig(backend="carrier-pigeon")
+            ServerConfig(engine="carrier-pigeon")
         with pytest.raises(ReproError):
             ServerConfig(max_inflight=0)
 
@@ -275,15 +275,6 @@ class TestService:
         assert status == 200
         service.close()
 
-    def test_process_backend_round_trip(self):
-        with SynthesisService(ServerConfig(
-            domains=("textediting",), backend="process", workers=2,
-        )) as service:
-            status, payload = service.handle_payload({"query": QUERY})
-            assert status == 200
-            direct = Synthesizer(load_domain("textediting")).synthesize(QUERY)
-            assert payload["codelet"] == direct.codelet
-
 
 # ---------------------------------------------------------------------------
 # Per-stage observability (staged pipeline integration)
@@ -328,26 +319,6 @@ class TestStageObservability:
                 assert section["count"] == 1
                 assert section["p50_ms"] >= 0.0
                 assert section["p99_ms"] >= section["p50_ms"] >= 0.0
-
-    def test_include_trace_with_process_backend(self):
-        from repro.synthesis.stages import STAGE_NAMES
-
-        # Workers may inherit this process's warm caches (fork start
-        # method), so empty them before the pool is spawned.
-        load_domain("textediting").path_cache.clear()
-        with SynthesisService(ServerConfig(
-            domains=("textediting",), backend="process", workers=1,
-        )) as s:
-            status, payload = s.handle_payload(
-                {"query": QUERY, "include_trace": True}
-            )
-            assert status == 200
-            trace = payload["trace"]  # rode the worker pipe
-            if not trace["cache_hit"]:
-                assert [
-                    sp["stage"] for sp in trace["spans"]
-                ] == list(STAGE_NAMES)
-            assert s.stats()["stages"]["observed"] == 1
 
     def test_timeout_response_names_stage(self):
         with SynthesisService(ServerConfig(domains=("textediting",))) as s:
@@ -882,21 +853,6 @@ class TestReload:
         assert service.drain(grace_seconds=10) is True
         service.close()
 
-    def test_process_backend_reload_restarts_pools(self, tmp_path):
-        """Under the process backend a reload swaps worker pools; requests
-        before and after both succeed."""
-        self._warm_snapshot(tmp_path)
-        with SynthesisService(ServerConfig(
-            domains=("textediting",), backend="process", workers=1,
-            cache_dir=str(tmp_path),
-        )) as service:
-            status, before = service.handle_payload({"query": QUERY})
-            assert status == 200
-            assert service.reload_snapshots()["status"] == "ok"
-            status, after = service.handle_payload({"query": QUERY})
-            assert status == 200
-            assert after["codelet"] == before["codelet"]
-
 
 # ---------------------------------------------------------------------------
 # Snapshot preload at startup
@@ -1044,6 +1000,7 @@ class TestHttp:
         _, client = http_setup
         health = client.health()
         assert health["status"] == "ok"
+        assert "backend" not in health  # one serving model, nothing to name
         assert set(health["domains"]) == {"textediting", "astmatcher"}
         info = health["domains"]["textediting"]
         assert info["apis"] > 0

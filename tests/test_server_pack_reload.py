@@ -188,25 +188,6 @@ class TestPackReloadInProcess:
             assert service.drain(grace_seconds=10) is True
             service.close()
 
-    def test_process_backend_workers_rebuild_edited_pack(self, hot_pack):
-        """Under the process backend the reload restarts worker pools;
-        fresh workers re-read the edited pack from disk."""
-        with SynthesisService(ServerConfig(
-            domains=("hotdemo",), backend="process", workers=1,
-        )) as service:
-            status, before = service.handle_payload(
-                {"query": "show all messages", "domain": "hotdemo"}
-            )
-            assert status == 200 and before["codelet"] == "SHOW(MESSAGES())"
-            _edit_pack_add_dismiss(hot_pack)
-            assert service.reload_snapshots()["domains"]["hotdemo"][
-                "pack_reloaded"] is True
-            status, payload = service.handle_payload(
-                {"query": "dismiss every alert", "domain": "hotdemo"}
-            )
-            assert status == 200
-            assert payload["codelet"] == "DISMISS(ALERTS())"
-
 
 # ---------------------------------------------------------------------------
 # Full process: `repro serve --pack-dir` + SIGHUP
