@@ -1,19 +1,15 @@
-"""Serving throughput: batch backends + persistent grammar-cache snapshots.
+"""Serving throughput: serial vs process batches + grammar-cache snapshots.
 
 The near-real-time claim of the paper is per query; a serving deployment
 additionally cares about queries/sec over a stream of requests, where the
 domain's cross-query caches (paths, conflicts, sizes, merges, outcomes —
 see docs/performance.md) do the heavy lifting.  This bench measures the
-TextEditing suite across the execution-backend matrix:
+TextEditing suite serially and over a process pool:
 
 * cold — fresh domain, first pass (``synthesize_many``, one worker);
 * warm — the same synthesizer re-running the same suite (outcome-cache
   steady state);
-* threaded — first pass on a fresh domain with ``REPRO_BENCH_WORKERS``
-  threads.  The pipeline is pure Python, so the GIL bounds the scaling;
-  the number is reported so the limitation is measured, not guessed.
-* process cold — first pass with ``backend="process"`` and
-  ``REPRO_BENCH_WORKERS`` workers, shared domain instances dropped first
+* process cold — first pass with ``max_workers=REPRO_BENCH_WORKERS``, shared domain instances dropped first
   so forked workers genuinely rebuild and fill their own caches;
 * process snapshot-warmed — same, but each worker preloads the on-disk
   snapshot written after the cold pass (``Domain.save_cache``);
@@ -37,7 +33,7 @@ from repro import Synthesizer
 from repro.domains import clear_cached_domains, load_domain
 from repro.domains.textediting import build_domain as build_textediting
 
-#: Pool size for the thread and process fan-out measurements.
+#: Pool size for the process fan-out measurements.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
 #: Minimum CPU count before the process-scaling assertion applies.
@@ -73,13 +69,6 @@ def _measure(cache_dir):
             queries, timeout_seconds_each=BENCH_TIMEOUT
         )
     )
-    threaded, threaded_s = _timed(
-        lambda: Synthesizer(_fresh_domain()).synthesize_many(
-            queries,
-            timeout_seconds_each=BENCH_TIMEOUT,
-            max_workers=BENCH_WORKERS,
-        )
-    )
 
     # Persist the cold pass's path/size/conflict layers for the
     # snapshot-warmed measurements below.
@@ -96,7 +85,6 @@ def _measure(cache_dir):
         lambda: Synthesizer(load_domain("textediting")).synthesize_many(
             queries,
             timeout_seconds_each=BENCH_TIMEOUT,
-            backend="process",
             max_workers=BENCH_WORKERS,
         )
     )
@@ -106,7 +94,6 @@ def _measure(cache_dir):
         lambda: Synthesizer(load_domain("textediting")).synthesize_many(
             queries,
             timeout_seconds_each=BENCH_TIMEOUT,
-            backend="process",
             max_workers=BENCH_WORKERS,
             cache_dir=cache_dir,
         )
@@ -138,18 +125,15 @@ def _measure(cache_dir):
         "snapshot_bytes": snapshot_file.stat().st_size,
         "cold_seconds": round(cold_s, 4),
         "warm_seconds": round(warm_s, 4),
-        "threaded_cold_seconds": round(threaded_s, 4),
         "process_cold_seconds": round(proc_cold_s, 4),
         "process_snapshot_seconds": round(proc_snap_s, 4),
         "preloaded_serial_seconds": round(preloaded_s, 4),
         "cold_qps": round(n / cold_s, 2),
         "warm_qps": round(n / warm_s, 2),
-        "threaded_cold_qps": round(n / threaded_s, 2),
         "process_cold_qps": round(n / proc_cold_s, 2),
         "process_snapshot_qps": round(n / proc_snap_s, 2),
         "preloaded_serial_qps": round(n / preloaded_s, 2),
         "warm_speedup": round(cold_s / warm_s, 2),
-        "thread_scaling": round(cold_s / threaded_s, 2),
         "process_scaling": round(cold_s / proc_cold_s, 2),
         "process_snapshot_speedup": round(cold_s / proc_snap_s, 2),
         "preloaded_serial_speedup": round(cold_s / preloaded_s, 2),
@@ -160,7 +144,6 @@ def _measure(cache_dir):
     runs = {
         "cold": cold,
         "warm": warm,
-        "threaded": threaded,
         "process_cold": proc_cold,
         "process_snapshot": proc_snap,
         "preloaded_serial": preloaded,
@@ -175,7 +158,7 @@ def test_throughput_batch(benchmark, tmp_path):
     print()
     print(json.dumps(summary, indent=2))
 
-    # Caching and backend choice must be invisible in the results...
+    # Caching and worker count must be invisible in the results...
     reference = _codelets(runs["cold"])
     for name, items in runs.items():
         assert _codelets(items) == reference, name

@@ -14,9 +14,11 @@ Examples::
 Batch mode reads one query per line from a file (or stdin with ``-``) and
 runs them through :meth:`Synthesizer.synthesize_many`::
 
-    python -m repro batch queries.txt --workers 4 --stats
-    python -m repro batch queries.txt --backend process --workers 4
+    python -m repro batch queries.txt --stats
+    python -m repro batch queries.txt --workers 4 --cache-dir /var/cache
     cat queries.txt | python -m repro batch --json
+
+``--workers N`` (N > 1) fans the batch out over N worker processes.
 
 Cache mode manages the persistent on-disk PathCache snapshots that let a
 cold process start warm (see docs/performance.md)::
@@ -218,21 +220,15 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker-pool size for the batch (default: 1, sequential)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="execution backend: 'thread' shares one warm cache (GIL-bound);"
-        " 'process' scales with cores via a process pool (default: thread)",
+        help="worker processes for the batch (default: 1, sequential in "
+        "this process)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="preload persistent cache snapshots from DIR (process backend: "
-        "every worker preloads; see 'repro cache warm')",
+        help="preload persistent cache snapshots from DIR (with --workers "
+        "N > 1 every worker preloads; see 'repro cache warm')",
     )
     parser.add_argument(
         "--stats",
@@ -325,14 +321,12 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     synth = Synthesizer(domain, engine=args.engine)
-    stats_before = domain.path_cache.snapshot() if args.stats else None
     started = time.monotonic()
     try:
         items = synth.synthesize_many(
             queries,
             timeout_seconds_each=args.timeout,
             max_workers=args.workers,
-            backend=args.backend,
             cache_dir=args.cache_dir,
             collect_trace=args.trace,
             candidates=args.candidates,
@@ -363,29 +357,19 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     rate = len(items) / elapsed if elapsed > 0 else float("inf")
     print(
         f"# {n_ok}/{len(items)} ok in {elapsed:.2f}s "
-        f"({rate:.2f} queries/s, workers={args.workers}, "
-        f"backend={args.backend})",
+        f"({rate:.2f} queries/s, workers={args.workers})",
         file=sys.stderr,
     )
     if args.stats:
         from repro.synthesis.result import SynthesisStats
 
-        if args.backend == "process":
-            # Per-item deltas are exact in pool workers (each runs its
-            # queries sequentially); the parent cache never sees them.
-            totals = {name: 0 for name in SynthesisStats.CACHE_FIELDS}
-            for item in items:
-                if item.outcome is not None:
-                    for name in totals:
-                        totals[name] += getattr(item.outcome.stats, name)
-        else:
-            # Exact regardless of worker count: one delta around the batch
-            # against this process's shared cache.
-            after = domain.path_cache.snapshot()
-            totals = {
-                name: after.get(name, 0) - stats_before.get(name, 0)
-                for name in SynthesisStats.CACHE_FIELDS
-            }
+        # Per-item deltas are exact serially and in pool workers (each
+        # runs its queries one at a time against its own cache).
+        totals = {name: 0 for name in SynthesisStats.CACHE_FIELDS}
+        for item in items:
+            if item.outcome is not None:
+                for name in totals:
+                    totals[name] += getattr(item.outcome.stats, name)
         for name, value in totals.items():
             print(f"# {name} = {value}", file=sys.stderr)
     return 0 if n_ok == len(items) else 1

@@ -6,7 +6,7 @@ arrived in 3.10, so the hot-path records (``CandidatePath``,
 where the runtime supports it, a plain one otherwise.
 Frozen slotted dataclasses pickle correctly on 3.10+ (the generated
 ``__getstate__``/``__setstate__`` pair uses ``object.__setattr__``), which
-is what keeps them usable across the process-pool backend.
+is what keeps them usable across the batch process pool.
 """
 
 from __future__ import annotations

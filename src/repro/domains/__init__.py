@@ -1,9 +1,9 @@
 """Evaluation domains (paper Table I) and the named domain registry.
 
-The registry maps a *name* to a factory, which is what lets execution
-backends rebuild a domain anywhere: the process-pool backend of
-:meth:`Synthesizer.synthesize_many` ships only ``domain.name`` (plus the
-engine config) over the worker pipe and calls :func:`get` on the other
+The registry maps a *name* to a factory, which is what lets pool workers
+rebuild a domain anywhere: the process fan-out of
+:meth:`Synthesizer.synthesize_many` (``max_workers > 1``) ships only
+``domain.name`` (plus the engine config) over the worker pipe and calls :func:`get` on the other
 side, so the unpicklable Domain object never crosses a process boundary.
 
 ``get(name)`` returns a per-process shared instance (one warm
@@ -113,7 +113,7 @@ def register(name: str, factory: Callable[..., Domain]) -> None:
     ``factory`` should accept a ``fresh`` keyword (build a new instance
     when true, may return a shared one otherwise); a zero-argument
     callable also works and is treated as always-fresh.  Registration is
-    per process — with the process execution backend, register at import
+    per process — for a ``max_workers > 1`` batch, register at import
     time (module scope) so pool workers re-run it.
     """
     key = name.lower()

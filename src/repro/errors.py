@@ -52,7 +52,7 @@ class SynthesisError(ReproError):
 
 class InvalidRequestError(ReproError):
     """The caller asked for something the library cannot resolve — an
-    unknown engine or backend name.  Maps to the stable ``invalid_request``
+    unknown engine name.  Maps to the stable ``invalid_request``
     wire code (HTTP 400), so serving clients get a structured rejection
     instead of a 500."""
 

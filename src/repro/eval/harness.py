@@ -111,7 +111,6 @@ def run_dataset(
     config=None,
     progress: Optional[Callable[[CaseResult], None]] = None,
     max_workers: int = 1,
-    backend: str = "thread",
     cache_dir: Optional[str] = None,
     collect_trace: bool = False,
 ) -> List[CaseResult]:
@@ -119,8 +118,8 @@ def run_dataset(
 
     The whole set goes through :meth:`Synthesizer.synthesize_many`, so the
     cases share one warm domain cache; ``max_workers > 1`` fans them out
-    over a thread pool, or — with ``backend="process"`` — over a process
-    pool (requires a registry-resolvable domain; see the pipeline docs).
+    over a process pool (requires a registry-resolvable domain; see the
+    pipeline docs).
     ``cache_dir`` preloads persistent cache snapshots.  With any fan-out,
     ``progress`` fires in completion order rather than dataset order.
     ``collect_trace`` runs every case with per-stage tracing and fills
@@ -149,7 +148,6 @@ def run_dataset(
         [case.query for case in case_list],
         timeout_seconds_each=timeout_seconds,
         max_workers=max_workers,
-        backend=backend,
         cache_dir=cache_dir,
         on_result=on_result,
         collect_trace=collect_trace,

@@ -70,7 +70,6 @@ See ``docs/performance.md`` for the full key/invalidation story.
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import pickle
 import tempfile
@@ -111,53 +110,36 @@ DEFAULT_MAX_OUTCOME_ENTRIES = 2048
 #: Per-edge labeled path lists kept (``SynthesisProblem``).
 EDGE_ENTRIES = 4096
 
-#: Layer name -> (env var, library default).  ``REPRO_CACHE_MAX_*`` lets a
-#: deployment resize every domain's caches without touching code, which is
-#: why the env value wins over per-domain constructor arguments.
-CAPACITY_SPEC: Dict[str, Tuple[str, int]] = {
-    "paths": ("REPRO_CACHE_MAX_PATH_ENTRIES", DEFAULT_MAX_PATH_ENTRIES),
-    "conflicts": (
-        "REPRO_CACHE_MAX_CONFLICT_ENTRIES", DEFAULT_MAX_CONFLICT_ENTRIES
-    ),
-    "sizes": ("REPRO_CACHE_MAX_SIZE_ENTRIES", DEFAULT_MAX_SIZE_ENTRIES),
-    "merge": ("REPRO_CACHE_MAX_MERGE_ENTRIES", DEFAULT_MAX_MERGE_ENTRIES),
-    "outcomes": (
-        "REPRO_CACHE_MAX_OUTCOME_ENTRIES", DEFAULT_MAX_OUTCOME_ENTRIES
-    ),
+#: Layer name -> library default capacity.
+DEFAULT_CAPACITIES: Dict[str, int] = {
+    "paths": DEFAULT_MAX_PATH_ENTRIES,
+    "conflicts": DEFAULT_MAX_CONFLICT_ENTRIES,
+    "sizes": DEFAULT_MAX_SIZE_ENTRIES,
+    "merge": DEFAULT_MAX_MERGE_ENTRIES,
+    "outcomes": DEFAULT_MAX_OUTCOME_ENTRIES,
 }
 
 
 def resolve_capacities(
     overrides: Optional[Dict[str, Optional[int]]] = None,
 ) -> Dict[str, int]:
-    """Effective per-layer LRU capacities.
-
-    Precedence per layer: ``REPRO_CACHE_MAX_*`` environment variable (a
-    deployment-wide override) > explicit per-domain value > library
-    default.  Unknown override keys are rejected loudly — a typo here
-    would otherwise silently fall back to the default.
+    """Effective per-layer LRU capacities: the explicit per-domain value
+    where one is given, else the library default.  Unknown override keys
+    are rejected loudly — a typo here would otherwise silently fall back
+    to the default.
     """
     overrides = dict(overrides or {})
-    unknown = set(overrides) - set(CAPACITY_SPEC)
+    unknown = set(overrides) - set(DEFAULT_CAPACITIES)
     if unknown:
         raise ValueError(
             f"unknown cache layers {sorted(unknown)}; "
-            f"valid: {sorted(CAPACITY_SPEC)}"
+            f"valid: {sorted(DEFAULT_CAPACITIES)}"
         )
-    out: Dict[str, int] = {}
-    for layer, (env_var, default) in CAPACITY_SPEC.items():
-        env_value = os.environ.get(env_var)
-        if env_value is not None:
-            try:
-                out[layer] = int(env_value)
-            except ValueError:
-                raise ValueError(
-                    f"{env_var}={env_value!r} is not an integer"
-                ) from None
-        else:
-            explicit = overrides.get(layer)
-            out[layer] = default if explicit is None else int(explicit)
-    return out
+    return {
+        layer: default if overrides.get(layer) is None
+        else int(overrides[layer])
+        for layer, default in DEFAULT_CAPACITIES.items()
+    }
 
 
 class LruCache:
@@ -234,9 +216,8 @@ class PathCache:
     """All cross-query caches of one domain (see module docstring).
 
     Capacities default to the module constants; pass explicit values (or
-    ``None`` for "use the default") per layer, and set ``REPRO_CACHE_MAX_*``
-    to override every domain in a deployment — see
-    :func:`resolve_capacities` for the precedence.
+    ``None`` for "use the default") per layer — see
+    :func:`resolve_capacities`.
     """
 
     #: Layers persisted by :func:`write_snapshot` — the grammar-pure ones.
@@ -273,7 +254,7 @@ class PathCache:
         self.invalidations = 0
 
     def layer(self, name: str) -> LruCache:
-        if name not in CAPACITY_SPEC:
+        if name not in DEFAULT_CAPACITIES:
             raise ValueError(f"unknown cache layer {name!r}")
         return getattr(self, name)
 
@@ -530,40 +511,18 @@ def write_snapshot(
     return file_path
 
 
-def read_snapshot(
-    file_path: Union[str, Path], *, use_mmap: Optional[bool] = None
-) -> Dict[str, Any]:
+def read_snapshot(file_path: Union[str, Path]) -> Dict[str, Any]:
     """Read and structurally validate a snapshot payload.
 
     Raises :class:`~repro.errors.CacheSnapshotError` for unreadable or
     corrupt files and unknown format versions.  Hash freshness is the
     *loader's* check (:func:`load_snapshot`) — reading alone cannot know
     which graph the caller intends.
-
-    ``use_mmap`` (default: ``$REPRO_SNAPSHOT_MMAP``, off unless set to a
-    non-``0`` value) memory-maps the file and unpickles straight from
-    the mapping instead of copying the bytes through a private read
-    buffer.  Spawn-mode multi-worker serving turns this on so every
-    worker process reads the same page-cache copy of the snapshot —
-    the spawn-safe analogue of load-before-fork sharing.
     """
     file_path = Path(file_path)
-    if use_mmap is None:
-        use_mmap = os.environ.get("REPRO_SNAPSHOT_MMAP", "0") not in (
-            "", "0"
-        )
     try:
         with open(file_path, "rb") as handle:
-            if use_mmap:
-                # length=0 maps the whole file; ACCESS_READ keeps the
-                # pages shared and clean.  An empty file cannot be
-                # mapped — let it fall through as a corrupt snapshot.
-                with mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                ) as mapped:
-                    payload = pickle.loads(mapped)
-            else:
-                payload = pickle.load(handle)
+            payload = pickle.load(handle)
     except OSError as exc:
         raise CacheSnapshotError(
             f"cannot read cache snapshot {file_path}: {exc}"

@@ -14,16 +14,12 @@ needs — N independent worker *processes* behind one listening port:
   SIGTERM/SIGINT forwards the signal so every worker drains gracefully
   — zero dropped in-flight or queued work, exactly the single-worker
   guarantee, N times over.
-* **shared listener** — on POSIX the children are forked and inherit
-  the parent's bound socket, so the kernel load-balances ``accept()``
+* **shared listener** — the children are forked and inherit the
+  parent's bound socket, so the kernel load-balances ``accept()``
   across workers with no proxy in front.  The grammar-cache snapshots
   are loaded *once*, before the fork: every worker serves from the same
-  copy-on-write pages instead of N private heaps.
-* **spawn fallback** (``REPRO_SERVE_START_METHOD=spawn`` or platforms
-  without ``fork``) — each worker is a fresh interpreter that binds its
-  own ``SO_REUSEPORT`` listener on the same port and memory-maps the v2
-  cache snapshot (``REPRO_SNAPSHOT_MMAP``), so the snapshot bytes are
-  shared through the page cache even without fork.
+  copy-on-write pages instead of N private heaps.  Platforms without
+  ``os.fork`` serve with ``--workers 1`` only.
 * **aggregated observability** — every worker publishes its local
   counters to a per-worker JSON file (atomic replace) through a
   :class:`WorkerStatsBoard`; whichever worker answers ``GET /stats``
@@ -103,22 +99,11 @@ def write_port_file(path: str, port: int) -> None:
         raise
 
 
-def bind_listener(
-    host: str, port: int, *, reuse_port: bool = False
-) -> socket.socket:
-    """Bind and listen.  ``reuse_port`` sets ``SO_REUSEPORT`` so several
-    processes can bind the same port and share the accept load (the
-    spawn-mode worker path); it raises on platforms without the option."""
+def bind_listener(host: str, port: int) -> socket.socket:
+    """Bind and listen on the socket every forked worker inherits."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise ReproError(
-                    "SO_REUSEPORT is not available on this platform; "
-                    "spawn-mode multi-worker serving needs it"
-                )
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
         sock.listen(LISTEN_BACKLOG)
     except BaseException:
@@ -399,43 +384,19 @@ def _worker_serve(
     return 0 if drained else 1
 
 
-def _spawn_worker_main(
-    config: ServerConfig,
-    host: str,
-    port: int,
-    slot: int,
-    stats_dir: str,
-    grace_seconds: float,
-    parent_pid: int,
-) -> None:
-    """Entry point for spawn-mode workers (fresh interpreter): bind an
-    ``SO_REUSEPORT`` sibling listener and build the service here,
-    memory-mapping the snapshot so the bytes are still shared across
-    workers through the page cache."""
-    os.environ.setdefault("REPRO_SNAPSHOT_MMAP", "1")
-    sock = bind_listener(host, port, reuse_port=True)
-    service = SynthesisService(config)
-    sys.exit(
-        _worker_serve(
-            service, sock, slot, stats_dir, grace_seconds, parent_pid
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
 
 
 class _WorkerHandle:
-    """One live (or just-exited) worker process, fork- or spawn-backed."""
+    """One live (or just-exited) forked worker process."""
 
-    __slots__ = ("slot", "pid", "proc", "started_at", "exitcode")
+    __slots__ = ("slot", "pid", "started_at", "exitcode")
 
-    def __init__(self, slot: int, pid: int, proc: Optional[Any] = None):
+    def __init__(self, slot: int, pid: int):
         self.slot = slot
         self.pid = pid
-        self.proc = proc  # multiprocessing.Process for spawn workers
         self.started_at = time.monotonic()
         self.exitcode: Optional[int] = None
 
@@ -443,12 +404,6 @@ class _WorkerHandle:
         """The worker's exit code, reaping it if needed; None while it
         is still running.  Stable once non-None."""
         if self.exitcode is not None:
-            return self.exitcode
-        if self.proc is not None:
-            if self.proc.is_alive():
-                return None
-            self.proc.join(timeout=0)
-            self.exitcode = self.proc.exitcode
             return self.exitcode
         try:
             pid, status = os.waitpid(self.pid, os.WNOHANG)
@@ -477,30 +432,22 @@ def run_supervisor(
     workers: int = 2,
     grace_seconds: float = 30.0,
     port_file: Optional[str] = None,
-    start_method: Optional[str] = None,
     on_ready: Optional[Callable[[int], None]] = None,
 ) -> bool:
     """Run the pre-fork server until SIGTERM/SIGINT; returns True when
     every worker drained cleanly inside the grace period.
 
-    ``start_method`` is ``"fork"`` (inherited listener + load-before-fork
-    snapshot sharing; the default where available), ``"spawn"``
-    (``SO_REUSEPORT`` siblings + mmap'd snapshots), or None to pick from
-    ``$REPRO_SERVE_START_METHOD`` / the platform.  ``on_ready(port)``
-    fires once the port is bound and every initial worker is started.
+    Raises :class:`~repro.errors.ReproError`, before anything is bound,
+    where ``os.fork`` is missing.  ``on_ready(port)`` fires once the port
+    is bound and every initial worker is started.
     """
     if workers < 1:
         raise ReproError("workers must be >= 1")
-    if start_method is None:
-        start_method = os.environ.get("REPRO_SERVE_START_METHOD") or (
-            "fork" if hasattr(os, "fork") else "spawn"
-        )
-    if start_method not in ("fork", "spawn"):
+    if not hasattr(os, "fork"):
         raise ReproError(
-            f"unknown start method {start_method!r}; use 'fork' or 'spawn'"
+            "multi-worker serving forks its workers and this platform "
+            "has no os.fork; serve with --workers 1"
         )
-    if start_method == "fork" and not hasattr(os, "fork"):
-        raise ReproError("start method 'fork' is unavailable here")
 
     supervisor = _Supervisor(
         config,
@@ -509,7 +456,6 @@ def run_supervisor(
         workers=workers,
         grace_seconds=grace_seconds,
         port_file=port_file,
-        start_method=start_method,
         on_ready=on_ready,
     )
     return supervisor.run()
@@ -525,7 +471,6 @@ class _Supervisor:
         workers: int,
         grace_seconds: float,
         port_file: Optional[str],
-        start_method: str,
         on_ready: Optional[Callable[[int], None]],
     ):
         self.config = config
@@ -534,13 +479,11 @@ class _Supervisor:
         self.workers = workers
         self.grace_seconds = grace_seconds
         self.port_file = port_file
-        self.start_method = start_method
         self.on_ready = on_ready
 
         self._listener: Optional[socket.socket] = None
         self._service: Optional[SynthesisService] = None
         self._stats_dir: Optional[str] = None
-        self._bound_port: Optional[int] = None
         self._handles: Dict[int, Optional[_WorkerHandle]] = {}
         self._restart_at: Dict[int, float] = {}
         self._backoff: Dict[int, float] = {}
@@ -548,11 +491,6 @@ class _Supervisor:
         self._hup_requested = False
 
     # -- worker lifecycle ----------------------------------------------
-
-    def _start_worker(self, slot: int) -> _WorkerHandle:
-        if self.start_method == "fork":
-            return self._fork_worker(slot)
-        return self._spawn_worker(slot)
 
     def _fork_worker(self, slot: int) -> _WorkerHandle:
         assert self._service is not None and self._listener is not None
@@ -582,52 +520,20 @@ class _Supervisor:
             # the stack) in the child.
             os._exit(code)
 
-    def _spawn_worker(self, slot: int) -> _WorkerHandle:
-        import multiprocessing
-
-        assert self._stats_dir is not None and self._bound_port is not None
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(
-            target=_spawn_worker_main,
-            args=(
-                self.config,
-                self.host,
-                self._bound_port,
-                slot,
-                self._stats_dir,
-                self.grace_seconds,
-                os.getpid(),
-            ),
-            name=f"repro-serve-worker-{slot}",
-        )
-        proc.start()
-        return _WorkerHandle(slot, proc.pid or -1, proc)
-
     # -- main loop ------------------------------------------------------
 
     def run(self) -> bool:
         self._stats_dir = tempfile.mkdtemp(prefix="repro-serve-stats-")
         previous_handlers: Dict[int, Any] = {}
         try:
-            listener = bind_listener(
-                self.host,
-                self.port,
-                reuse_port=(self.start_method == "spawn"),
-            )
-            self._bound_port = listener.getsockname()[1]
-            if self.start_method == "fork":
-                # Load-before-fork: build the whole service (snapshots
-                # included) once; the forked workers share these pages
-                # copy-on-write and only ever read them.
-                self._listener = listener
-                self._service = SynthesisService(self.config)
-            else:
-                # Spawn workers bind their own SO_REUSEPORT listeners;
-                # the parent's claim socket must not stay in the accept
-                # rotation or its queue would swallow connections.
-                listener.close()
+            self._listener = bind_listener(self.host, self.port)
+            bound_port = self._listener.getsockname()[1]
+            # Load-before-fork: build the whole service (snapshots
+            # included) once; the forked workers share these pages
+            # copy-on-write and only ever read them.
+            self._service = SynthesisService(self.config)
             if self.port_file:
-                write_port_file(self.port_file, self._bound_port)
+                write_port_file(self.port_file, bound_port)
 
             def _handle_stop(signum: int, frame: Any) -> None:
                 self._stop_requested = True
@@ -646,9 +552,9 @@ class _Supervisor:
 
             for slot in range(self.workers):
                 self._backoff[slot] = RESTART_BACKOFF_BASE_SECONDS
-                self._handles[slot] = self._start_worker(slot)
+                self._handles[slot] = self._fork_worker(slot)
             if self.on_ready is not None:
-                self.on_ready(self._bound_port)
+                self.on_ready(bound_port)
 
             while not self._stop_requested:
                 time.sleep(_SUPERVISOR_POLL_SECONDS)
@@ -675,7 +581,7 @@ class _Supervisor:
         for slot, handle in list(self._handles.items()):
             if handle is None:
                 if now >= self._restart_at.get(slot, 0.0):
-                    self._handles[slot] = self._start_worker(slot)
+                    self._handles[slot] = self._fork_worker(slot)
                 continue
             code = handle.poll()
             if code is None:

@@ -65,8 +65,8 @@ class Domain:
     candidate_reranker: Optional[object] = None
     #: Per-domain LRU capacity overrides for the PathCache layers, keyed
     #: "paths"/"conflicts"/"sizes"/"merge"/"outcomes".  Missing layers use
-    #: the library defaults; ``REPRO_CACHE_MAX_*`` env vars override both
-    #: (see :func:`repro.grammar.path_cache.resolve_capacities`).
+    #: the library defaults (see
+    #: :func:`repro.grammar.path_cache.resolve_capacities`).
     cache_capacities: Mapping[str, int] = field(default_factory=dict)
     #: Where this domain came from.  Built-in Python domains leave it
     #: empty; pack-loaded domains record ``pack`` / ``version`` /
@@ -296,8 +296,8 @@ class Domain:
 
     def stats(self) -> Dict[str, object]:
         """Summary used by Table I, plus the configured cache capacities
-        (so a deployment can verify its ``REPRO_CACHE_*`` overrides took
-        effect) and provenance (grammar hash; pack metadata when the
+        (so a deployment can verify its per-domain ``cache_capacities``
+        took effect) and provenance (grammar hash; pack metadata when the
         domain was loaded from a pack)."""
         out: Dict[str, object] = {
             "apis": len(self.document),

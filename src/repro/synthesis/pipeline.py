@@ -14,19 +14,17 @@ span when tracing is requested (``collect_trace`` /
 
 For serving workloads, :meth:`Synthesizer.synthesize_many` processes a
 batch of queries and returns per-query outcomes — including per-query
-errors — in input order.  Two execution backends:
-
-* ``backend="thread"`` (default) — one shared warm domain cache,
-  optionally fanned out over a thread pool.  The pipeline is pure Python,
-  so threads buy I/O overlap, not CPU scaling (GIL).
-* ``backend="process"`` — a ``ProcessPoolExecutor``; each worker
-  initializes its domain once by *name* from :mod:`repro.domains` (only
-  the name, engine config, and limits cross the pipe) and optionally
-  preloads a persistent cache snapshot (``cache_dir``), so every worker
-  starts as warm as the first.  This is the CPU-scaling path.
+errors — in input order.  ``max_workers <= 1`` runs them serially over
+this process's warm domain cache; ``max_workers > 1`` fans them out over
+a ``ProcessPoolExecutor`` whose workers initialize the domain once by
+*name* from :mod:`repro.domains` (only the name, engine config, and
+limits cross the pipe) and optionally preload a persistent cache
+snapshot (``cache_dir``), so every worker starts as warm as the first.
+The pipeline is pure Python, so threads would only contend for the GIL;
+processes are the CPU-scaling path.
 
 See ``docs/performance.md`` for the caching architecture and the
-measured backend matrix.
+measured serial-vs-processes numbers.
 """
 
 from __future__ import annotations
@@ -34,11 +32,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Union
 
@@ -99,9 +93,9 @@ class BatchItem:
 
     Exactly one of ``outcome`` / ``error`` is set; ``index`` is the query's
     position in the input batch (results are returned in input order
-    regardless of worker count or backend).  Everything here — outcome,
-    stats, and error objects included — pickles cleanly: the process
-    backend ships BatchItems over the worker pipe verbatim.
+    regardless of worker count).  Everything here — outcome, stats, and
+    error objects included — pickles cleanly: the process pool ships
+    BatchItems over the worker pipe verbatim.
     """
 
     query: str
@@ -224,24 +218,15 @@ def _run_single(
     index: int,
     query: str,
     timeout_seconds: Optional[float],
-    record_cache_delta: bool = True,
-    collect_trace: bool = False,
-    examples=None,
-    candidates: Optional[int] = None,
+    **options: Any,
 ) -> BatchItem:
     """One query -> one BatchItem, failures captured (shared by the serial
-    loop, the thread pool, and the process-pool workers, so the three
-    backends cannot drift in budget/error semantics)."""
+    loop, the process-pool workers, and serve's dispatch, so they cannot
+    drift in budget/error semantics).  ``options`` are
+    :meth:`Synthesizer.synthesize` keywords."""
     started = time.monotonic()
     try:
-        outcome = synthesizer.synthesize(
-            query,
-            timeout_seconds,
-            record_cache_delta=record_cache_delta,
-            collect_trace=collect_trace,
-            examples=examples,
-            candidates=candidates,
-        )
+        outcome = synthesizer.synthesize(query, timeout_seconds, **options)
         return BatchItem(
             query,
             index,
@@ -266,7 +251,7 @@ def _run_single(
 
 
 # ---------------------------------------------------------------------------
-# Process-pool backend plumbing
+# Process-pool plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -423,8 +408,9 @@ class Synthesizer:
 
         ``record_cache_delta=False`` skips the per-query PathCache delta
         (``stats.cache_delta_scope`` becomes "batch", fields read 0) —
-        the thread fan-out uses this because subtracting counters shared
-        with concurrent queries would produce racy numbers.
+        serve's concurrent handler threads use this because subtracting
+        counters shared with concurrent queries would produce racy
+        numbers.
 
         ``collect_trace`` (default: the constructor's ``trace`` flag)
         records a per-stage :class:`~repro.synthesis.stages.Trace` on
@@ -584,14 +570,14 @@ class Synthesizer:
 
         if not is_registered(self.domain.name):
             raise ReproError(
-                f"backend='process' needs domain {self.domain.name!r} in "
+                f"max_workers > 1 needs domain {self.domain.name!r} in "
                 "the repro.domains registry (register(name, factory) at "
                 "module scope) so pool workers can rebuild it by name"
             )
         engine_name = getattr(self.engine, "name", None)
         if engine_name not in ("dggt", "hisyn"):
             raise ReproError(
-                "backend='process' needs a named engine ('dggt'/'hisyn'); "
+                "max_workers > 1 needs a named engine ('dggt'/'hisyn'); "
                 f"got {self.engine!r}"
             )
         return _WorkerSpec(
@@ -609,7 +595,6 @@ class Synthesizer:
         *,
         timeout_seconds_each: Optional[float] = None,
         max_workers: int = 1,
-        backend: str = "thread",
         cache_dir: Optional[str] = None,
         on_result=None,
         collect_trace: bool = False,
@@ -622,23 +607,17 @@ class Synthesizer:
         order — rather than aborting the batch.  ``timeout_seconds_each``
         is an independent budget per query.
 
-        ``backend="thread"`` (default) runs over this Synthesizer's shared
-        warm cache; ``max_workers > 1`` fans out across a
-        ``ThreadPoolExecutor``.  The pipeline is pure Python, so threads
-        contend for the GIL and the measured scaling is ~1x (see
-        docs/performance.md); the win is I/O overlap.  Per-query cache
-        deltas are recorded only when single-worker (they race otherwise);
-        snapshot ``domain.path_cache`` around the batch for aggregates.
+        ``max_workers <= 1`` (default) runs serially over this
+        Synthesizer's shared warm cache; ``cache_dir`` preloads *this*
+        domain's snapshot (best effort) before the batch.
 
-        ``backend="process"`` fans out across a ``ProcessPoolExecutor`` —
+        ``max_workers > 1`` fans out across a ``ProcessPoolExecutor`` —
         the CPU-scaling path.  Requires a registry-resolvable domain and a
         named engine (see :meth:`_worker_spec`); each worker builds its
         domain once, preloads the on-disk snapshot when ``cache_dir`` is
         given, and ships picklable BatchItems back.  Budgets, failure
-        capture, and result order are identical to the thread path.
-
-        ``cache_dir`` with the thread backend preloads *this* domain's
-        snapshot (best effort) before the batch.
+        capture, result order, and per-query cache deltas are identical
+        to the serial path.
 
         ``on_result`` (optional) is invoked with each finished
         :class:`BatchItem` as it completes — in input order for a serial
@@ -646,8 +625,8 @@ class Synthesizer:
 
         ``collect_trace=True`` records per-stage spans on every item
         (``item.trace``; ``repro batch --json --trace`` renders them) —
-        identical semantics on both backends, traces pickle across the
-        worker pipe.
+        identical semantics either way, traces pickle across the worker
+        pipe.
 
         Entries may also be ``(query, examples)`` pairs or ``{"query",
         "examples"}`` objects (the JSONL batch shape) to verify individual
@@ -655,13 +634,8 @@ class Synthesizer:
         entry for a top-K candidate list.  Both ride the same per-query
         budget.
         """
-        if backend not in ("thread", "process"):
-            raise InvalidRequestError(
-                f"unknown backend {backend!r}; use 'thread' or 'process'"
-            )
         entries = [_normalize_batch_entry(q) for q in queries]
-
-        if backend == "process":
+        if max_workers > 1:
             return self._synthesize_many_process(
                 entries, timeout_seconds_each, max_workers, cache_dir,
                 on_result, collect_trace, candidates,
@@ -669,26 +643,17 @@ class Synthesizer:
 
         if cache_dir is not None:
             self.domain.load_cache(cache_dir)
-
-        record_deltas = max_workers <= 1
-
-        def run_one(index: int, query: str, examples) -> BatchItem:
+        items = []
+        for index, (query, examples) in enumerate(entries):
             item = _run_single(
-                self, index, query, timeout_seconds_each, record_deltas,
-                collect_trace, examples, candidates,
+                self, index, query, timeout_seconds_each,
+                collect_trace=collect_trace, examples=examples,
+                candidates=candidates,
             )
             if on_result is not None:
                 on_result(item)
-            return item
-
-        if max_workers <= 1:
-            return [run_one(i, q, ex) for i, (q, ex) in enumerate(entries)]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(run_one, i, q, ex)
-                for i, (q, ex) in enumerate(entries)
-            ]
-            return [f.result() for f in futures]
+            items.append(item)
+        return items
 
     def _synthesize_many_process(
         self,
@@ -701,7 +666,7 @@ class Synthesizer:
         candidates: Optional[int] = None,
     ) -> List[BatchItem]:
         spec = self._worker_spec(cache_dir)
-        n_workers = max(1, min(max_workers, max(1, len(entries))))
+        n_workers = min(max_workers, max(1, len(entries)))
         results: List[Optional[BatchItem]] = [None] * len(entries)
         with ProcessPoolExecutor(
             max_workers=n_workers,

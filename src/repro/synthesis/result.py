@@ -35,12 +35,13 @@ class SynthesisStats:
     # throughput benchmark can assert warm-vs-cold behaviour instead of
     # guessing.  They are before/after subtractions of counters shared by
     # every query on the domain, so they are only meaningful when nothing
-    # else touches the cache during the query: under thread fan-out the
-    # Synthesizer skips them entirely (``cache_delta_scope == "batch"``,
-    # fields stay 0) instead of reporting racy numbers — snapshot the
-    # domain's PathCache around the batch for exact aggregates.  The
-    # process backend records exact per-query deltas again (each worker
-    # runs its queries sequentially against its own cache).
+    # else touches the cache during the query: where queries run
+    # concurrently on one cache (serve's handler threads) the Synthesizer
+    # skips them entirely (``cache_delta_scope == "batch"``, fields stay
+    # 0) instead of reporting racy numbers.  Batches record exact
+    # per-query deltas: the serial path runs one query at a time, and
+    # each pool worker runs its queries sequentially against its own
+    # cache.
     path_cache_hits: int = 0
     path_cache_misses: int = 0
     path_cache_evictions: int = 0

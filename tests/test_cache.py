@@ -321,10 +321,10 @@ class TestSynthesizeMany:
         synth = Synthesizer(fresh_textediting())
         self._check_items(synth.synthesize_many(self.QUERIES))
 
-    def test_threaded_order_preserved(self):
+    def test_process_order_preserved(self):
         synth = Synthesizer(fresh_textediting())
         self._check_items(
-            synth.synthesize_many(self.QUERIES, max_workers=4)
+            synth.synthesize_many(self.QUERIES, max_workers=2)
         )
 
     def test_per_query_timeout(self):
@@ -342,7 +342,7 @@ class TestSynthesizeMany:
         )
         assert seen == items  # single worker: input order, same objects
 
-    def test_run_dataset_threaded_matches_sequential(self):
+    def test_run_dataset_process_matches_sequential(self):
         from repro.eval.harness import run_dataset
 
         domain = fresh_textediting()
@@ -353,7 +353,7 @@ class TestSynthesizeMany:
             domain,
             cases,
             timeout_seconds=20,
-            max_workers=4,
+            max_workers=2,
             progress=seen.append,
         )
         assert [r.case.case_id for r in par] == [c.case_id for c in cases]

@@ -25,6 +25,7 @@ from repro.domains.textediting import build_domain as build_textediting
 from repro.domains.textediting.queries import TEXTEDITING_QUERIES
 from repro.errors import DomainError
 from repro.grammar.path_cache import (
+    DEFAULT_CAPACITIES,
     SNAPSHOT_FORMAT_VERSION,
     load_snapshot,
     read_snapshot,
@@ -214,7 +215,7 @@ class TestSnapshotRejection:
 
 
 # ---------------------------------------------------------------------------
-# Capacities: Domain.create kwargs + env overrides + stats reporting
+# Capacities: Domain.create kwargs + stats reporting
 # ---------------------------------------------------------------------------
 
 
@@ -225,16 +226,7 @@ class TestCapacityConfiguration:
         assert caps["paths"] == 7
         assert caps["sizes"] == 9
         assert domain.path_cache.paths.maxsize == 7
-
-    def test_env_overrides_win(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_PATH_ENTRIES", "5")
-        domain = _mini_domain(BNF, cache_capacities={"paths": 7})
-        assert domain.path_cache.capacities["paths"] == 5
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_PATH_ENTRIES", "lots")
-        with pytest.raises(ValueError, match="not an integer"):
-            resolve_capacities()
+        assert caps["merge"] == DEFAULT_CAPACITIES["merge"]
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(ValueError, match="unknown cache layers"):

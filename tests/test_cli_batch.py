@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -145,27 +147,32 @@ class TestBatchCommand:
             tmp_path,
             ["print every line", "delete every word that contains numbers"],
         )
-        code = main(
-            ["batch", path, "--backend", "process", "--workers", "2"]
-        )
+        code = main(["batch", path, "--workers", "2"])
         captured = capsys.readouterr()
         assert code == 0
         lines = captured.out.strip().splitlines()
         assert lines[0].startswith("1. PRINT(")
-        assert "backend=process" in captured.err
+        assert "workers=2)" in captured.err
         assert "2/2 ok" in captured.err
 
     def test_process_backend_stats_aggregate(self, tmp_path, capsys):
         path = _write_queries(
             tmp_path, ["print every line", "print every line"]
         )
-        code = main(
-            ["batch", path, "--backend", "process", "--workers", "2",
-             "--stats"]
-        )
+        code = main(["batch", path, "--workers", "2", "--stats"])
         captured = capsys.readouterr()
         assert code == 0
         assert "# path_cache_misses = " in captured.err
+
+    def test_no_backend_flag(self, tmp_path, capsys):
+        # Batches fan out over processes with --workers only.
+        path = _write_queries(tmp_path, ["print every line"])
+        with pytest.raises(SystemExit) as info:
+            main(["batch", path, "--backend", "process"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro batch")
+        assert "unrecognized arguments: --backend process" in err
 
 
 class TestCacheCommand:
@@ -228,7 +235,8 @@ class TestCacheCommand:
         assert code == 0
         assert "3/3 queries" in captured.out
 
-    def test_batch_uses_warmed_cache_dir(self, tmp_path, capsys):
+    @staticmethod
+    def _batch_stats_after_warm(tmp_path, capsys, workers):
         cache_dir = str(tmp_path / "cache")
         queries = _write_queries(tmp_path, ["print every line"])
         assert main(
@@ -237,22 +245,31 @@ class TestCacheCommand:
         ) == 0
         capsys.readouterr()
         # Real invocations are separate processes; drop the in-process
-        # shared domain so the workers start cold and hit the snapshot.
+        # shared domain so the batch (or its forked workers) starts cold
+        # and hits the snapshot.
         from repro.domains import clear_cached_domains
 
         clear_cached_domains()
 
         code = main(
-            ["batch", queries, "--backend", "process", "--workers", "1",
+            ["batch", queries, "--workers", workers,
              "--cache-dir", cache_dir, "--stats"]
         )
         captured = capsys.readouterr()
         assert code == 0
-        stats = {
+        return {
             line.split(" = ")[0].lstrip("# "): int(line.split(" = ")[1])
             for line in captured.err.splitlines()
             if line.startswith("# ") and " = " in line
         }
+
+    def test_batch_uses_warmed_cache_dir(self, tmp_path, capsys):
+        stats = self._batch_stats_after_warm(tmp_path, capsys, "1")
+        assert stats["path_cache_hits"] > 0
+        assert stats["path_cache_misses"] == 0
+
+    def test_batch_workers_preload_warmed_cache_dir(self, tmp_path, capsys):
+        stats = self._batch_stats_after_warm(tmp_path, capsys, "2")
         assert stats["path_cache_hits"] > 0
         assert stats["path_cache_misses"] == 0
 

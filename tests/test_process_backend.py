@@ -1,6 +1,6 @@
-"""Process-pool execution backend: picklability, equivalence, semantics.
+"""Process fan-out of batches: picklability, equivalence, semantics.
 
-The contract of ``synthesize_many(backend="process")`` is byte-identical
+The contract of ``synthesize_many(max_workers > 1)`` is byte-identical
 results to the serial path — same codelets, same statuses, same error
 types, same input order — with each worker rebuilding the domain by name
 from the registry.  These tests pin the contract plus the pickle
@@ -101,7 +101,6 @@ class TestProcessBackend:
         proc = synth.synthesize_many(
             QUERIES,
             timeout_seconds_each=20,
-            backend="process",
             max_workers=2,
         )
         assert _signature(proc) == _signature(serial)
@@ -113,7 +112,6 @@ class TestProcessBackend:
         proc = synth.synthesize_many(
             queries,
             timeout_seconds_each=20,
-            backend="process",
             max_workers=2,
         )
         assert _signature(proc) == _signature(serial)
@@ -123,7 +121,6 @@ class TestProcessBackend:
         items = synth.synthesize_many(
             QUERIES[:2],
             timeout_seconds_each=0,
-            backend="process",
             max_workers=2,
         )
         assert [i.status for i in items] == ["timeout", "timeout"]
@@ -132,12 +129,9 @@ class TestProcessBackend:
 
     def test_per_query_deltas_are_exact_in_workers(self):
         # Each worker runs its queries sequentially against its own cache,
-        # so per-query deltas come back scope="query" (unlike thread
-        # fan-out, which cannot record them).
+        # so per-query deltas come back scope="query", as serially.
         synth = Synthesizer(load_domain("textediting"))
-        items = synth.synthesize_many(
-            QUERIES, backend="process", max_workers=2
-        )
+        items = synth.synthesize_many(QUERIES, max_workers=2)
         for item in items:
             if item.ok:
                 assert item.outcome.stats.cache_delta_scope == "query"
@@ -146,7 +140,7 @@ class TestProcessBackend:
         synth = Synthesizer(load_domain("textediting"))
         seen = []
         items = synth.synthesize_many(
-            QUERIES, backend="process", max_workers=2, on_result=seen.append
+            QUERIES, max_workers=2, on_result=seen.append
         )
         assert sorted(i.index for i in seen) == [0, 1, 2, 3]
         assert [i.index for i in items] == [0, 1, 2, 3]
@@ -155,13 +149,11 @@ class TestProcessBackend:
         domain = build_textediting(fresh=True)
         domain.name = "private"
         synth = Synthesizer(domain)
-        with pytest.raises(ReproError, match="registry"):
-            synth.synthesize_many(["print every line"], backend="process")
-
-    def test_unknown_backend_rejected(self):
-        synth = Synthesizer(load_domain("textediting"))
-        with pytest.raises(ReproError, match="backend"):
-            synth.synthesize_many(["print every line"], backend="bogus")
+        with pytest.raises(
+            ReproError, match="max_workers > 1 needs domain 'private'"
+        ) as err:
+            synth.synthesize_many(["print every line"], max_workers=2)
+        assert "registry" in str(err.value)
 
     def test_engine_config_crosses_the_pipe(self):
         from repro.core.dggt import DggtConfig
@@ -174,7 +166,6 @@ class TestProcessBackend:
         proc = synth.synthesize_many(
             QUERIES,
             timeout_seconds_each=20,
-            backend="process",
             max_workers=2,
         )
         assert _signature(proc) == _signature(serial)
@@ -188,23 +179,6 @@ class TestThreadDeltaScope:
             if item.ok:
                 assert item.outcome.stats.cache_delta_scope == "query"
 
-    def test_thread_fanout_marks_deltas_unrecorded(self):
-        domain = build_textediting(fresh=True)
-        synth = Synthesizer(domain)
-        before = domain.path_cache.snapshot()
-        items = synth.synthesize_many(QUERIES, max_workers=4)
-        after = domain.path_cache.snapshot()
-        for item in items:
-            if item.ok:
-                stats = item.outcome.stats
-                assert stats.cache_delta_scope == "batch"
-                assert all(
-                    getattr(stats, name) == 0
-                    for name in SynthesisStats.CACHE_FIELDS
-                )
-        # The batch-level snapshot delta is the exact aggregate.
-        assert after["path_cache_misses"] > before["path_cache_misses"]
-
     def test_run_dataset_process_backend(self):
         from repro.eval.harness import run_dataset
 
@@ -216,7 +190,6 @@ class TestThreadDeltaScope:
             cases,
             timeout_seconds=20,
             max_workers=2,
-            backend="process",
         )
         assert [(r.status, r.codelet, r.correct) for r in par] == [
             (r.status, r.codelet, r.correct) for r in seq

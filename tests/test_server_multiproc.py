@@ -79,9 +79,17 @@ class TestRunSupervisorValidation:
         with pytest.raises(ReproError, match="workers must be >= 1"):
             run_supervisor(object(), workers=0)
 
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ReproError, match="unknown start method"):
-            run_supervisor(object(), workers=1, start_method="threads")
+    def test_requires_fork_before_binding(self, monkeypatch):
+        from repro.server import multiproc
+
+        bound = []
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(
+            multiproc, "bind_listener", lambda *args: bound.append(args)
+        )
+        with pytest.raises(ReproError, match="no os.fork"):
+            run_supervisor(object(), workers=2)
+        assert bound == []
 
     def test_bind_listener_rejects_taken_port(self):
         sock = bind_listener("127.0.0.1", 0)

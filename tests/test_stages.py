@@ -204,13 +204,15 @@ class TestTimeoutAttribution:
         assert trace.span("word_to_api").status == "error"
         assert trace.timed_out_stage is None
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_batch_timeout_names_stage(self, backend):
+    @pytest.mark.parametrize(
+        "max_workers", [1, 2], ids=["serial", "process"]
+    )
+    def test_batch_timeout_names_stage(self, max_workers):
         synth = Synthesizer(load_domain("textediting"))
         [item] = synth.synthesize_many(
             [QUERY],
             timeout_seconds_each=0,
-            backend=backend,
+            max_workers=max_workers,
             collect_trace=True,
         )
         assert item.status == "timeout"
@@ -235,7 +237,7 @@ class TestTimeoutAttribution:
 
 
 # ---------------------------------------------------------------------------
-# Process backend carries traces across the worker pipe
+# The process fan-out carries traces across the worker pipe
 # ---------------------------------------------------------------------------
 
 
@@ -248,7 +250,6 @@ class TestProcessBackendTraces:
         synth = Synthesizer(load_domain("textediting"))
         items = synth.synthesize_many(
             [QUERY, "delete every word that contains numbers"],
-            backend="process",
             max_workers=2,
             collect_trace=True,
         )
@@ -258,7 +259,7 @@ class TestProcessBackendTraces:
 
     def test_traces_off_by_default(self):
         synth = Synthesizer(load_domain("textediting"))
-        [item] = synth.synthesize_many([QUERY], backend="process")
+        [item] = synth.synthesize_many([QUERY], max_workers=2)
         assert item.trace is None
 
 
@@ -313,11 +314,6 @@ class TestInvalidRequest:
             make_engine("nope")
         except InvalidRequestError as exc:
             assert error_code(exc) == "invalid_request"
-
-    def test_unknown_backend(self):
-        synth = fresh_synth()
-        with pytest.raises(InvalidRequestError, match="backend"):
-            synth.synthesize_many([QUERY], backend="fork")
 
 
 # ---------------------------------------------------------------------------
