@@ -69,7 +69,6 @@ from repro.grammar.path_cache import (
 )
 from repro.synthesis.explain import explain_query
 from repro.synthesis.pipeline import Synthesizer
-from repro.synthesis.ranking import ranked_candidates
 
 
 def _pack_dir_argument(parser: argparse.ArgumentParser) -> None:
@@ -128,13 +127,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="print every intermediate pipeline artifact (Fig. 3 walk-through)",
     )
     parser.add_argument(
-        "--top",
-        type=int,
-        default=1,
-        metavar="K",
-        help="print up to K ranked candidate codelets (IDE mode, Sec. VII-B.4)",
-    )
-    parser.add_argument(
         "--example",
         action="append",
         default=None,
@@ -146,10 +138,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--candidates",
+        "--top",
         type=int,
         default=None,
         metavar="K",
-        help="with --example: verify up to K ranked candidates (default: 4)",
+        dest="candidates",
+        help="print up to K ranked candidate codelets (IDE mode, Sec. "
+        "VII-B.4); with --example, verify them and print them in verified "
+        "order (default with --example: 4 verified, the winner printed)",
     )
     parser.add_argument(
         "--stats",
@@ -363,13 +359,14 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     if args.stats:
         from repro.synthesis.result import SynthesisStats
 
-        # Per-item deltas are exact serially and in pool workers (each
-        # runs its queries one at a time against its own cache).
+        # Per-item deltas, failed queries included, are exact serially
+        # and in pool workers (each runs its queries one at a time
+        # against its own cache).
         totals = {name: 0 for name in SynthesisStats.CACHE_FIELDS}
         for item in items:
-            if item.outcome is not None:
+            if item.cache_stats is not None:
                 for name in totals:
-                    totals[name] += getattr(item.outcome.stats, name)
+                    totals[name] += getattr(item.cache_stats, name)
         for name, value in totals.items():
             print(f"# {name} = {value}", file=sys.stderr)
     return 0 if n_ok == len(items) else 1
@@ -1127,6 +1124,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.timeout < 0:
         print("error: --timeout must be non-negative", file=sys.stderr)
         return 2
+    if args.candidates is not None and args.candidates < 1:
+        print("error: --candidates/--top must be at least 1", file=sys.stderr)
+        return 2
 
     try:
         domain = load_domain(args.domain)
@@ -1151,24 +1151,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     synth = Synthesizer(domain, engine=args.engine, config=config)
 
-    if args.explain:
-        print(explain_query(domain, args.query, examples=examples))
-
-    if args.top > 1:
-        try:
-            ranked = ranked_candidates(
-                domain, args.query, k=args.top, engine=args.engine,
-                timeout_seconds=args.timeout,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for cand in ranked:
-            print(f"{cand.rank}. {cand.codelet}")
-        return 0
-
     collect_trace = args.stats or args.trace
     try:
+        if args.explain:
+            print(
+                explain_query(
+                    domain, args.query, engine=synth.engine,
+                    timeout_seconds=args.timeout, examples=examples,
+                    candidates=args.candidates,
+                )
+            )
         out = synth.synthesize(
             args.query,
             timeout_seconds=args.timeout,
@@ -1189,7 +1181,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(out.codelet)
+    if args.candidates is not None and args.candidates > 1:
+        # The final list, verified order first when examples were given;
+        # printed ranks are list positions (verdicts keep original ranks).
+        for position, cand in enumerate(out.candidates, start=1):
+            print(f"{position}. {cand.codelet}")
+    else:
+        print(out.codelet)
     print(
         f"# engine={out.engine} size={out.size} "
         f"time={out.elapsed_seconds * 1000:.1f}ms",

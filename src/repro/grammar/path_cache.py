@@ -49,8 +49,9 @@ them as flat arrays:
 
 Every layer is a bounded LRU with hit/miss/eviction counters (surfaced via
 :meth:`snapshot` and, per query, in
-:class:`~repro.synthesis.result.SynthesisStats`), guarded by a lock so
-:meth:`Synthesizer.synthesize_many` can fan out across threads.
+:class:`~repro.synthesis.result.SynthesisStats`), guarded by a lock
+because ``repro serve``'s handler threads share one domain's cache
+(batch fans out over processes, each with its own cache).
 Invalidation: the cache is valid only for the exact graph object it was
 built from; ``Domain.path_cache`` discards it when the domain's graph is
 replaced, and :meth:`clear` empties it explicitly.

@@ -605,17 +605,21 @@ class _Reader:
             spec.matching[key] = (
                 int(value) if key == "max_candidates" else float(value)
             )
-        for table_name, target in (("limits", spec.limits),
-                                   ("cache", spec.cache_capacities)):
+        # A cache layer needs room for one entry (LruCache rejects 0);
+        # a path-search limit of 0 is a meaningful bound.
+        for table_name, target, least, kind in (
+            ("limits", spec.limits, 0, "non-negative"),
+            ("cache", spec.cache_capacities, 1, "positive"),
+        ):
             for key, value in (data.get(table_name) or {}).items():
                 if key not in _SCHEMA[table_name]:
                     continue
                 if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < 0:
+                        or value < least:
                     self.issue(
                         MANIFEST_NAME,
                         lines.get((table_name, key)),
-                        f"{table_name} {key} must be a non-negative "
+                        f"{table_name} {key} must be a {kind} "
                         f"integer, got {value!r}",
                     )
                     continue

@@ -14,7 +14,7 @@ from repro.synthesis.problem import (
     start_candidate,
 )
 from repro.synthesis.explain import explain_problem, explain_query
-from repro.synthesis.ranking import RankedCandidate, ranked_candidates
+from repro.synthesis.ranking import RankedCandidate
 from repro.synthesis.result import SynthesisOutcome, SynthesisStats
 from repro.synthesis.stages import (
     STAGE_NAMES,
@@ -49,6 +49,5 @@ __all__ = [
     "run_stage",
     "explain_query",
     "explain_problem",
-    "ranked_candidates",
     "RankedCandidate",
 ]

@@ -17,15 +17,19 @@ section comes from the same :class:`~repro.synthesis.stages.Trace` that
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional
 
 from repro.core.orphan import relocation_variants
 from repro.errors import ReproError
 from repro.synthesis.deadline import Deadline
 from repro.synthesis.domain import Domain
-from repro.synthesis.pipeline import make_engine
+from repro.synthesis.pipeline import (
+    EngineLike,
+    attach_candidates,
+    make_engine,
+)
 from repro.synthesis.problem import SynthesisProblem
+from repro.synthesis.result import SynthesisOutcome
 from repro.synthesis.stages import SynthesisContext, Trace, run_front_end
 
 
@@ -94,17 +98,24 @@ def explain_problem(problem: SynthesisProblem, max_paths_shown: int = 3) -> str:
 def explain_query(
     domain: Domain,
     query: str,
-    engine: str = "dggt",
+    engine: EngineLike = "dggt",
     timeout_seconds: Optional[float] = 20.0,
     examples=None,
+    candidates: Optional[int] = None,
 ) -> str:
     """The full six-step walk-through for one query, as rendered text.
 
     ``examples`` (input→output pairs) appends the execution-guided
     verification step: the top-ranked candidates run against every
     example and the walk-through shows each verdict
-    (docs/verification.md).
+    (docs/verification.md).  ``candidates`` (K) appends the ranked
+    candidate list without examples, and sets the list depth with them.
+    Both come from :func:`~repro.synthesis.pipeline.attach_candidates`,
+    the step :class:`~repro.synthesis.pipeline.Synthesizer` runs.
     """
+    from repro.verify.examples import normalize_examples
+
+    examples = normalize_examples(examples)
     lines: List[str] = [f"query: {query}", ""]
 
     deadline = (
@@ -131,9 +142,10 @@ def explain_query(
 
     lines.append(explain_problem(problem))
 
-    lines.append(f"Steps 5+6 — synthesis ({engine}):")
+    resolved = make_engine(engine)
+    lines.append(f"Steps 5+6 — synthesis ({resolved.name}):")
     try:
-        out = make_engine(engine).synthesize(problem, ctx=ctx)
+        out = resolved.synthesize(problem, ctx=ctx)
     except ReproError as exc:
         lines.append(f"  FAILED: {exc}")
         lines.extend(_trace_lines(ctx.trace))
@@ -147,49 +159,27 @@ def explain_query(
         "  combinations={combinations} pruned_grammar={pruned_grammar} "
         "pruned_size={pruned_size} merged={merged}".format(**stats)
     )
-    if examples:
-        lines.extend(_verification_lines(domain, problem, out, ctx, engine,
-                                         examples))
+    if examples is not None or candidates is not None:
+        attach_candidates(ctx, problem, out, resolved, examples, candidates)
+        lines.extend(_candidate_lines(out))
     lines.extend(_trace_lines(ctx.trace))
     return "\n".join(lines)
 
 
-def _verification_lines(
-    domain: Domain, problem, out, ctx, engine: str, examples
-) -> List[str]:
-    """The execution-guided verification section of the walk-through."""
-    from repro.synthesis.pipeline import DEFAULT_TOP_K
-    from repro.synthesis.ranking import alternative_outcomes
-    from repro.synthesis.stages import VERIFY_STAGE_NAME, record_span
-    from repro.verify.examples import normalize_examples
-    from repro.verify.executors import get_executor
-    from repro.verify.verifier import verify_candidates
-
-    lines = ["Verification — execution-guided re-ranking:"]
-    normalized = normalize_examples(examples)
-    executor = get_executor(domain.name)
-    outs = alternative_outcomes(
-        problem, out, make_engine(engine), ctx.deadline, DEFAULT_TOP_K
-    )
-    started = time.monotonic()
-    report = verify_candidates(
-        executor,
-        [(i + 1, o.codelet) for i, o in enumerate(outs)],
-        normalized,
-        ctx.deadline,
-    )
-    record_span(
-        ctx,
-        VERIFY_STAGE_NAME,
-        started,
-        status=(
-            "exhausted" if report.status == "deadline_exhausted" else "ok"
-        ),
-    )
-    lines.append(
-        f"  {len(normalized)} example(s), {len(outs)} candidate(s), "
-        f"status={report.status}"
-    )
+def _candidate_lines(out: SynthesisOutcome) -> List[str]:
+    """The ranked-candidate section of the walk-through: the plain list,
+    or the execution-guided verification verdicts when examples ran."""
+    report = out.verification
+    if report is None:
+        lines = ["Ranked candidates (Sec. VII-B.4):"]
+        lines.extend(f"  rank {c.rank}: {c.codelet}" for c in out.candidates)
+        return lines
+    lines = [
+        "Verification — execution-guided re-ranking:",
+        f"  {report.verdicts[0].examples_total} example(s), "
+        f"{len(out.candidates)} candidate(s), "
+        f"status={report.status}",
+    ]
     for verdict in report.verdicts:
         detail = f" — {verdict.detail}" if verdict.detail else ""
         lines.append(
@@ -198,11 +188,8 @@ def _verification_lines(
             f"{detail}"
         )
         lines.append(f"      {verdict.codelet}")
-    winner = outs[report.winner_rank - 1]
-    if report.reranked:
-        lines.append(
-            f"  promoted rank {report.winner_rank}: {winner.codelet}"
-        )
-    else:
-        lines.append(f"  kept rank {report.winner_rank}: {winner.codelet}")
+    action = "promoted" if report.reranked else "kept"
+    lines.append(
+        f"  {action} rank {report.winner_rank}: {out.candidates[0].codelet}"
+    )
     return lines

@@ -46,7 +46,11 @@ from repro.grammar.paths import PathSearchLimits
 from repro.synthesis.deadline import Deadline
 from repro.synthesis.domain import Domain
 from repro.synthesis.problem import SynthesisProblem, build_problem
-from repro.synthesis.result import SynthesisOutcome
+from repro.synthesis.ranking import (
+    alternative_outcomes,
+    outcomes_to_candidates,
+)
+from repro.synthesis.result import SynthesisOutcome, SynthesisStats
 from repro.synthesis.stages import (
     VERIFY_STAGE_NAME,
     SynthesisContext,
@@ -85,6 +89,72 @@ def make_engine(engine: EngineLike, config=None):
     raise InvalidRequestError(
         f"unknown engine {engine!r}; use 'hisyn' or 'dggt'"
     )
+
+
+def _check_candidates(candidates: Optional[int]) -> None:
+    """Reject a candidate-list depth below 1 (None means the default)."""
+    if candidates is not None and candidates < 1:
+        raise ValueError(f"candidates must be at least 1, got {candidates}")
+
+
+def attach_candidates(
+    ctx: SynthesisContext,
+    problem: SynthesisProblem,
+    outcome: SynthesisOutcome,
+    engine,
+    examples=None,
+    candidates: Optional[int] = None,
+) -> None:
+    """The one rank+verify step: generate the top-K candidate list for a
+    synthesized ``outcome`` (:func:`~repro.synthesis.ranking.
+    alternative_outcomes`) and, when ``examples`` (normalized) were
+    supplied, run the execution-guided verify stage over it (see
+    docs/verification.md).  ``candidates`` is K (default
+    ``DEFAULT_TOP_K``).
+
+    Mutates ``outcome`` in place: attaches ``candidates`` (in verified
+    order when examples were given) and ``verification``, and when
+    verification promotes a lower-ranked candidate, swaps in its
+    expression/CGT as the answer.  :class:`Synthesizer` and
+    :func:`~repro.synthesis.explain.explain_query` both run it.
+    """
+    k = candidates if candidates is not None else DEFAULT_TOP_K
+    outs = alternative_outcomes(problem, outcome, engine, ctx.deadline, k)
+    ranked = outcomes_to_candidates(outs)
+    if examples is None:
+        outcome.candidates = ranked
+        return
+
+    # Lazy: verify is an optional stage.
+    from repro.verify.executors import get_executor
+    from repro.verify.verifier import verify_candidates
+
+    executor = get_executor(ctx.domain.name)
+    started = time.monotonic()
+    report = verify_candidates(
+        executor,
+        [(c.rank, c.codelet) for c in ranked],
+        examples,
+        ctx.deadline,
+    )
+    # Not run_stage: its entry deadline check would turn a completed
+    # synthesis into a timeout.  The span is recorded directly, with
+    # "exhausted" marking the unverified-ranking fallback in traces.
+    record_span(
+        ctx,
+        VERIFY_STAGE_NAME,
+        started,
+        status=(
+            "exhausted" if report.status == "deadline_exhausted" else "ok"
+        ),
+    )
+    outcome.candidates = tuple(ranked[r - 1] for r in report.order)
+    outcome.verification = report
+    if report.winner_rank != 1:
+        winner = outs[report.winner_rank - 1]
+        outcome.expression = winner.expression
+        outcome.cgt = winner.cgt
+        outcome.size = winner.size
 
 
 @dataclass
@@ -174,6 +244,16 @@ class BatchItem:
         if self.outcome is not None:
             return getattr(self.outcome, "trace", None)
         return getattr(self.error, "trace", None)
+
+    @property
+    def cache_stats(self) -> Optional[SynthesisStats]:
+        """The record holding this query's cache-counter deltas: the
+        outcome's stats on success, the record the Synthesizer attached to
+        the error on failure; None when the query failed before its
+        first cache lookup."""
+        if self.outcome is not None:
+            return self.outcome.stats
+        return getattr(self.error, "cache_stats", None)
 
 
 def _normalize_batch_entry(entry):
@@ -429,10 +509,17 @@ class Synthesizer:
         ``candidates`` asks for a top-K candidate list on
         ``outcome.candidates`` even without examples; with examples the
         default is ``DEFAULT_TOP_K``.  Either option bypasses the outcome
-        cache (the memoized shell carries neither list).
+        cache (the memoized shell carries neither list).  A ``candidates``
+        below 1 raises :class:`ValueError` before any work.
+
+        A failure raised after the outcome-cache lookup carries this
+        query's cache deltas as ``exc.cache_stats`` (a
+        :class:`~repro.synthesis.result.SynthesisStats`) when
+        ``record_cache_delta`` is on.
         """
         from repro.verify.examples import normalize_examples
 
+        _check_candidates(candidates)
         examples = normalize_examples(examples)
         if examples is not None:
             # Fail fast: a domain without an executor cannot consume
@@ -485,13 +572,21 @@ class Synthesizer:
                 outcome.elapsed_seconds = time.monotonic() - started
                 return outcome
 
-        problem = run_front_end(ctx)
-        outcome = self.engine.synthesize(problem, ctx=ctx)
+        try:
+            problem = run_front_end(ctx)
+            outcome = self.engine.synthesize(problem, ctx=ctx)
+            if want_candidates:
+                attach_candidates(
+                    ctx, problem, outcome, self.engine, examples, candidates
+                )
+        except ReproError as exc:
+            if record_cache_delta:
+                # A failed query's lookups count too: BatchItem.cache_stats
+                # reads them from here for ``repro batch --stats``.
+                exc.cache_stats = SynthesisStats()
+                exc.cache_stats.record_cache_delta(before, cache.snapshot())
+            raise
         outcome.query = query
-        if want_candidates:
-            self._attach_candidates(
-                ctx, problem, outcome, examples, candidates
-            )
         if record_cache_delta:
             outcome.stats.record_cache_delta(before, cache.snapshot())
         else:
@@ -501,63 +596,6 @@ class Synthesizer:
             cache.put_outcome(key, outcome)
         outcome.trace = ctx.trace
         return outcome
-
-    def _attach_candidates(
-        self, ctx, problem, outcome, examples, candidates: Optional[int]
-    ) -> None:
-        """Generate the top-K candidate list and, when examples were
-        supplied, run the execution-guided verify stage (see
-        docs/verification.md).  Mutates ``outcome`` in place: attaches
-        ``candidates``/``verification``, and when verification promotes a
-        lower-ranked candidate, swaps in its expression/CGT as the answer.
-        """
-        # Lazy: ranking imports this module, verify is an optional stage.
-        from repro.synthesis.ranking import (
-            alternative_outcomes,
-            outcomes_to_candidates,
-        )
-
-        k = candidates if candidates is not None else DEFAULT_TOP_K
-        outs = alternative_outcomes(
-            problem, outcome, self.engine, ctx.deadline, k
-        )
-        ranked = outcomes_to_candidates(outs)
-        if examples is None:
-            outcome.candidates = ranked
-            return
-
-        from repro.verify.executors import get_executor
-        from repro.verify.verifier import verify_candidates
-
-        executor = get_executor(self.domain.name)
-        started = time.monotonic()
-        report = verify_candidates(
-            executor,
-            [(c.rank, c.codelet) for c in ranked],
-            examples,
-            ctx.deadline,
-        )
-        # Not run_stage: its entry deadline check would turn a completed
-        # synthesis into a timeout.  The span is recorded directly, with
-        # "exhausted" marking the unverified-ranking fallback in traces.
-        record_span(
-            ctx,
-            VERIFY_STAGE_NAME,
-            started,
-            status=(
-                "exhausted"
-                if report.status == "deadline_exhausted"
-                else "ok"
-            ),
-        )
-        by_rank = {c.rank: c for c in ranked}
-        outcome.candidates = tuple(by_rank[r] for r in report.order)
-        outcome.verification = report
-        if report.winner_rank != 1:
-            winner = outs[report.winner_rank - 1]
-            outcome.expression = winner.expression
-            outcome.cgt = winner.cgt
-            outcome.size = winner.size
 
     # ------------------------------------------------------------------
     # Batch entry point (serving workloads)
@@ -634,6 +672,7 @@ class Synthesizer:
         entry for a top-K candidate list.  Both ride the same per-query
         budget.
         """
+        _check_candidates(candidates)
         entries = [_normalize_batch_entry(q) for q in queries]
         if max_workers > 1:
             return self._synthesize_many_process(

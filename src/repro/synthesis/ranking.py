@@ -5,16 +5,16 @@ candidate expressions for the programmer to choose when she types in her
 intent in natural language."  This module produces that list.
 
 Strategy: the top-1 comes from the engine as usual.  Lower ranks come from
-*alternative exclusion*: re-synthesize with an already-used candidate API
-excluded, so each successive result interprets part of the query
-differently — cheap (k small syntheses instead of a k-best dynamic
-program).  :func:`ranked_candidates` varies only the root word (the
-semantically most salient variation, the original behaviour);
-:func:`alternative_outcomes` — the generator behind execution-guided
-verification (:mod:`repro.verify`) — walks *every* dependency node, so
-ambiguity anywhere in the query (an operation synonym, a literal that
-could fill two slots) yields a distinct candidate for the examples to
-discriminate.  Results are deduplicated by codelet.
+*alternative exclusion* (:func:`alternative_outcomes`): for each
+dependency node in turn, re-synthesize with the endpoint the rank-1 CGT
+bound it to excluded — cheap (at most one small synthesis per node instead
+of a k-best dynamic program).  Walking every node, not just the root, means
+ambiguity anywhere in the query (an operation synonym, a literal that could
+fill two slots) yields a distinct candidate.  Results are deduplicated by
+codelet.  This is the only candidate generator: ``repro --candidates``/
+``--top``, ``Synthesizer.synthesize(candidates=K)``, execution-guided
+verification (:mod:`repro.verify`) and ``repro --explain`` all reach it
+through :func:`repro.synthesis.pipeline.attach_candidates`.
 
 ``score`` is the grammar-graph cost score ``1 / (1 + size)`` — the
 quantity the engine's optimal-CGT search maximizes, renormalized to
@@ -30,9 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError, SynthesisTimeout
 from repro.grammar.paths import PathSearchLimits
 from repro.synthesis.deadline import Deadline
-from repro.synthesis.domain import Domain
-from repro.synthesis.pipeline import EngineLike, make_engine
-from repro.synthesis.problem import SynthesisProblem, build_problem
+from repro.synthesis.problem import SynthesisProblem
 
 #: Per-edge path cap for alternative (exclusion) re-syntheses.  Excluding
 #: the rank-1 endpoint can strip the pruning that made the original merge
@@ -88,7 +86,7 @@ def _without_candidate(
     problem: SynthesisProblem,
     node_id: str,
     drop: Sequence[str],
-    limits: Optional[PathSearchLimits] = None,
+    limits: PathSearchLimits,
 ) -> Optional[SynthesisProblem]:
     """A copy of the problem where dependency node ``node_id`` may no
     longer resolve to any endpoint in ``drop``; None when no candidates
@@ -104,20 +102,12 @@ def _without_candidate(
         problem.domain,
         problem.dep_graph.copy(),
         {**problem.candidates, node_id: remaining},
-        limits or problem.limits,
+        limits,
         problem.deadline,
         # Safe to share across limits: the overlay holds *raw* (uncapped)
         # pair results; per-edge caps are applied per problem.
         path_cache=problem._path_cache,
     )
-
-
-def _without_root_candidates(
-    problem: SynthesisProblem, used: set
-) -> Optional[SynthesisProblem]:
-    """A copy of the problem whose root word may no longer resolve to any
-    endpoint in ``used``; None when no candidates remain."""
-    return _without_candidate(problem, problem.dep_graph.root, tuple(used))
 
 
 def alternative_outcomes(
@@ -168,73 +158,6 @@ def alternative_outcomes(
             seen.add(alternative.codelet)
             outcomes.append(alternative)
     return outcomes
-
-
-def ranked_candidates(
-    domain: Domain,
-    query: str,
-    k: int = 3,
-    engine: EngineLike = "dggt",
-    timeout_seconds: Optional[float] = 20.0,
-) -> List[RankedCandidate]:
-    """Up to ``k`` ranked candidate codelets for ``query``.
-
-    Raises the usual synthesis errors only if *no* candidate can be
-    produced; partial lists are returned otherwise.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    resolved = make_engine(engine)
-    deadline = (
-        Deadline(timeout_seconds)
-        if timeout_seconds is not None
-        else Deadline.unlimited()
-    )
-    problem = build_problem(domain, query, deadline=deadline)
-
-    results: List[RankedCandidate] = []
-    seen_codelets = set()
-    used_roots: set = set()
-    current: Optional[SynthesisProblem] = problem
-    first_error: Optional[ReproError] = None
-
-    while current is not None and len(results) < k:
-        try:
-            outcome = resolved.synthesize(current, deadline)
-        except SynthesisTimeout:
-            break
-        except ReproError as exc:
-            if first_error is None:
-                first_error = exc
-            outcome = None
-        if outcome is not None and outcome.codelet not in seen_codelets:
-            seen_codelets.add(outcome.codelet)
-            results.append(
-                RankedCandidate(
-                    rank=len(results) + 1,
-                    codelet=outcome.codelet,
-                    size=outcome.size,
-                    elapsed_seconds=outcome.elapsed_seconds,
-                    score=cost_score(outcome.size),
-                )
-            )
-        if outcome is not None:
-            # Exclude the root interpretation the winning CGT used.
-            root = current.dep_graph.root
-            for cand in current.candidates.get(root, []):
-                node_id = cand.node_id
-                if node_id in {n for n in outcome.cgt.nodes()}:
-                    used_roots.add(node_id)
-                    break
-            else:
-                break  # cannot attribute a root candidate: stop varying
-        else:
-            break
-        current = _without_root_candidates(problem, used_roots)
-
-    if not results and first_error is not None:
-        raise first_error
-    return results
 
 
 def outcomes_to_candidates(outcomes: Sequence[Any]) -> Tuple[RankedCandidate, ...]:

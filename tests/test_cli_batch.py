@@ -115,6 +115,47 @@ class TestBatchCommand:
         assert "# path_cache_hits = " in captured.err
         assert "# outcome_cache_hits = " in captured.err
 
+    @staticmethod
+    def _stats_lines(err):
+        return {
+            line.split(" = ")[0].lstrip("# "): int(line.split(" = ")[1])
+            for line in err.splitlines()
+            if line.startswith("# ") and " = " in line
+        }
+
+    # The middle query fails after its path search, so it makes outcome,
+    # path and conflict lookups of its own.
+    FAILING_BATCH = [
+        "print every line",
+        "insert line before word after line",
+        "delete every word that contains numbers",
+    ]
+
+    def test_stats_count_failed_queries(self, tmp_path, capsys):
+        from repro import load_domain
+        from repro.domains import clear_cached_domains
+        from repro.synthesis.result import SynthesisStats
+
+        clear_cached_domains()
+        cache = load_domain("textediting").path_cache
+        path = _write_queries(tmp_path, self.FAILING_BATCH)
+        before = cache.snapshot()
+        code = main(["batch", path, "--stats"])
+        after = cache.snapshot()
+        assert code == 1
+        stats = self._stats_lines(capsys.readouterr().err)
+        for name in SynthesisStats.CACHE_FIELDS:
+            assert stats[name] == after[name] - before[name], name
+        assert stats["outcome_cache_misses"] == 3
+
+    def test_workers_stats_count_failed_queries(self, tmp_path, capsys):
+        path = _write_queries(tmp_path, self.FAILING_BATCH)
+        code = main(["batch", path, "--workers", "2", "--stats"])
+        assert code == 1
+        stats = self._stats_lines(capsys.readouterr().err)
+        # One outcome-cache lookup per query, whichever worker ran it.
+        assert stats["outcome_cache_hits"] + stats["outcome_cache_misses"] == 3
+
     def test_workers_flag(self, tmp_path, capsys):
         path = _write_queries(
             tmp_path,

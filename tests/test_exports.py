@@ -37,7 +37,7 @@ class TestTopLevel:
                         "parse_expression", "validate_expression"]),
         ("repro.baseline", ["HISynEngine", "iter_combinations"]),
         ("repro.synthesis", ["Synthesizer", "build_problem", "Deadline",
-                             "ranked_candidates", "explain_query"]),
+                             "RankedCandidate", "explain_query"]),
         ("repro.eval", ["run_dataset", "accuracy", "speedup_summary",
                         "render_table2", "fig7_series"]),
         ("repro.runtime", ["execute_codelet", "parse_cpp", "match_codelet",

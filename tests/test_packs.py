@@ -162,6 +162,25 @@ class TestValidationIssues:
         rendered = self._issues(demo)
         assert any("examples.jsonl:2:" in issue for issue in rendered), rendered
 
+    def test_cache_capacity_must_be_positive(self, demo):
+        manifest = demo / MANIFEST_NAME
+        text = manifest.read_text()
+        n_lines = len(text.splitlines())
+        # LruCache needs room for one entry: 0 would fail every query.
+        manifest.write_text(text + "\n[cache]\npaths = 0\n")
+        rendered = self._issues(demo)
+        assert rendered == [
+            f"{MANIFEST_NAME}:{n_lines + 3}: cache paths must be a "
+            "positive integer, got 0"
+        ], rendered
+
+    def test_limits_zero_stays_valid(self, demo):
+        manifest = demo / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text() + "\n[limits]\nmax_extra_len = 0\n"
+        )
+        assert self._issues(demo) == []
+
     def test_load_pack_raises_with_structured_issues(self, demo):
         (demo / "grammar.bnf").write_text("broken ::=\n")
         with pytest.raises(PackError) as info:
