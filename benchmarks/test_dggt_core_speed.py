@@ -142,13 +142,13 @@ def _worker_suite(spec):
         started = time.perf_counter()
         results = run_dataset(
             domain, cases, engine="dggt",
-            timeout_seconds=120.0, collect_trace=True,
+            timeout_seconds=120.0,
         )
         wall = time.perf_counter() - started
         per_query = []
         stage_totals = {stage: 0.0 for stage in CORE_STAGES}
         for result in results:
-            stage_seconds = result.stage_seconds or {}
+            stage_seconds = result.stage_seconds
             per_query.append(
                 sum(stage_seconds.get(stage, 0.0) for stage in CORE_STAGES)
             )

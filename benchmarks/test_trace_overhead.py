@@ -1,16 +1,18 @@
 """Tracing overhead guard: spans must stay in the noise on the warm path.
 
-The staged-pipeline refactor's deal is observability for (almost) free:
-with ``collect_trace=True`` every stage pays two clock reads and a
-counter snapshot.  This bench pins that bargain — warm-path synthesis
-with tracing on must stay within 5% of tracing off — so span recording
-can never quietly grow into a tax on the paper's near-real-time claim.
+The staged pipeline's deal is observability for (almost) free: spans are
+always recorded, and every stage pays two clock reads and a counter
+snapshot.  This bench pins that bargain — warm-path
+``Synthesizer.synthesize`` must stay within 5% of the six stage bodies
+called directly with no context and no spans (tests/bare_pipeline.py) —
+so span recording can never quietly grow into a tax on the paper's
+near-real-time claim.
 
 Methodology: outcome caching is disabled (a cache hit skips the stages
 entirely, which would measure nothing), the path caches are pre-warmed,
-and traced/untraced sweeps are interleaved over several rounds taking
-the best round each — min-of-rounds cancels scheduler noise that a
-single round would fold into the ratio.
+and traced/bare sweeps are interleaved over several rounds taking the
+best round each — min-of-rounds cancels scheduler noise that a single
+round would fold into the ratio.
 
 Writes ``/tmp/trace-overhead.json`` (uploaded as a CI artifact next to
 the throughput numbers).
@@ -21,21 +23,22 @@ import time
 
 from benchmarks.conftest import BENCH_TIMEOUT, _cases, _domain
 from repro.synthesis.pipeline import Synthesizer
+from tests.bare_pipeline import synthesize_bare
 
 ROUNDS = 5
 MAX_OVERHEAD_RATIO = 1.05
 RESULT_PATH = "/tmp/trace-overhead.json"
 
 
-def _sweep(synth, queries, collect_trace):
+def _sweep(synth, queries, traced):
     started = time.perf_counter()
     for query in queries:
-        synth.synthesize(
-            query,
-            timeout_seconds=BENCH_TIMEOUT,
-            record_cache_delta=False,
-            collect_trace=collect_trace,
-        )
+        if traced:
+            synth.synthesize(
+                query, timeout_seconds=BENCH_TIMEOUT, record_cache_delta=False
+            )
+        else:
+            synthesize_bare(synth.domain, synth.engine, query, BENCH_TIMEOUT)
     return time.perf_counter() - started
 
 

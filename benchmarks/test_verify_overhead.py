@@ -85,9 +85,7 @@ def _measure_workload(name, domain_name, query, examples):
         plain_walls.append(time.perf_counter() - started)
 
         started = time.perf_counter()
-        out = synth.synthesize(
-            query, examples=list(examples), collect_trace=True
-        )
+        out = synth.synthesize(query, examples=list(examples))
         verified_walls.append(time.perf_counter() - started)
         span = out.trace.spans[-1]
         assert span.stage == "verify", span.stage

@@ -67,7 +67,7 @@ from repro.grammar.path_cache import (
     default_cache_dir,
     snapshot_info,
 )
-from repro.synthesis.explain import explain_query
+from repro.synthesis.explain import explain_synthesis
 from repro.synthesis.pipeline import Synthesizer
 
 
@@ -239,7 +239,7 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="collect per-stage wall time for every query; with --json "
+        help="print per-stage wall time for every query; with --json "
         "each item carries a 'trace' payload (docs/architecture.md), in "
         "text mode a compact per-query stage line is printed to stderr",
     )
@@ -285,7 +285,7 @@ def _format_trace(trace) -> str:
     """One compact ``stage=elapsed`` line for a per-query Trace."""
     if trace is None:
         return "no trace"
-    if getattr(trace, "cache_hit", False):
+    if trace.cache_hit:
         return "cache hit (no stages run)"
     parts = []
     for span in trace.spans:
@@ -324,7 +324,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             timeout_seconds_each=args.timeout,
             max_workers=args.workers,
             cache_dir=args.cache_dir,
-            collect_trace=args.trace,
             candidates=args.candidates,
         )
     except ReproError as exc:
@@ -1151,23 +1150,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     synth = Synthesizer(domain, engine=args.engine, config=config)
 
-    collect_trace = args.stats or args.trace
     try:
         if args.explain:
-            print(
-                explain_query(
-                    domain, args.query, engine=synth.engine,
-                    timeout_seconds=args.timeout, examples=examples,
-                    candidates=args.candidates,
-                )
+            # One run: the walk-through, the codelet, the verdicts and
+            # the stats below all come from the same outcome.
+            text, out, error = explain_synthesis(
+                synth, args.query, args.timeout, examples, args.candidates
             )
-        out = synth.synthesize(
-            args.query,
-            timeout_seconds=args.timeout,
-            collect_trace=collect_trace,
-            examples=examples,
-            candidates=args.candidates,
-        )
+            print(text)
+            if error is not None:
+                raise error
+        else:
+            out = synth.synthesize(
+                args.query,
+                timeout_seconds=args.timeout,
+                examples=examples,
+                candidates=args.candidates,
+            )
     except SynthesisTimeout as exc:
         stage = getattr(exc, "stage", None)
         where = f" (expired in stage {stage!r})" if stage else ""
@@ -1209,7 +1208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{detail}",
                 file=sys.stderr,
             )
-    if collect_trace and out.trace is not None:
+    if args.stats or args.trace:
         if out.trace.cache_hit:
             print("# stage trace: cache hit (no stages run)", file=sys.stderr)
         for span in out.trace.spans:

@@ -75,9 +75,11 @@ class DggtConfig:
     grammar_pruning: bool = True
     size_pruning: bool = True
     orphan_relocation: bool = True
-    max_reloc_variants: int = 16
-    deadline_stride: int = 256
 
+
+#: Case II sibling combinations enumerated, and sorted survivors merged,
+#: between two cooperative deadline checks.
+_DEADLINE_STRIDE = 256
 
 #: Shared (False, 0) merge-info value — one tuple for every invalid merge.
 _INVALID_MERGE: Tuple[bool, int] = (False, 0)
@@ -126,9 +128,7 @@ class DggtEngine:
         )
 
         if self.config.orphan_relocation:
-            variants, n_orphans = relocation_variants(
-                problem, self.config.max_reloc_variants
-            )
+            variants, n_orphans = relocation_variants(problem)
         else:
             variants, n_orphans = [problem], len(problem.orphan_nodes())
         stats.n_orphans = n_orphans
@@ -410,12 +410,11 @@ class DggtEngine:
                 )
             rec_lists.append(full)
 
-        deadline_stride = self.config.deadline_stride
         survivors: List[Tuple[IntRec, ...]] = []
         count = 0
         for combo in product(*rec_lists):
             count += 1
-            if count % deadline_stride == 0:
+            if count % _DEADLINE_STRIDE == 0:
                 deadline.check()
             if check_conflicts:
                 acc = 0
@@ -476,7 +475,7 @@ class DggtEngine:
         src_api = interner.is_api[gov_int]
         merge_info = cache.merge_info if cache is not None else None
         for idx, item in enumerate(sized):
-            if idx % deadline_stride == 0:
+            if idx % _DEADLINE_STRIDE == 0:
                 deadline.check()
             lower, _upper, combo, pred_total = item
             if (

@@ -72,7 +72,7 @@ class SynthesisTimeout(SynthesisError):
     can clamp it to the budget.  The staged pipeline
     (:mod:`repro.synthesis.stages`) annotates the exception in flight:
     ``stage`` names the Fig. 3 stage the budget expired in, and ``trace``
-    (when tracing was on) carries the spans recorded up to that point —
+    carries the spans recorded up to that point —
     both ride :meth:`__reduce__`'s ``__dict__`` element across the
     process-pool worker pipe, like ``partial_stats``.
     """

@@ -13,7 +13,7 @@ codelets after normalization through the codelet re-parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.expression import normalize_codelet
@@ -39,9 +39,8 @@ class CaseResult:
     size: Optional[int] = None
     stats: Optional[SynthesisStats] = None
     error: str = ""
-    #: Per-stage wall time (stage name -> seconds), populated when the run
-    #: collected traces (``collect_trace=True``); None otherwise.
-    stage_seconds: Optional[Dict[str, float]] = None
+    #: Per-stage wall time (stage name -> seconds) from the run's trace.
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def timed_out(self) -> bool:
@@ -52,8 +51,7 @@ def _case_result_from_item(
     engine_name: str, case: QueryCase, item: BatchItem
 ) -> CaseResult:
     """Translate one batch item into the harness's CaseResult record."""
-    trace = item.trace
-    stage_seconds = trace.stage_seconds() if trace is not None else None
+    stage_seconds = item.trace.stage_seconds()
     if item.ok:
         truth = normalize_codelet(case.ground_truth)
         codelet = normalize_codelet(item.outcome.codelet)
@@ -92,13 +90,10 @@ def run_case(
     synthesizer: Synthesizer,
     case: QueryCase,
     timeout_seconds: float = DEFAULT_TIMEOUT,
-    collect_trace: bool = False,
 ) -> CaseResult:
     """Run one case; timeouts are clamped to the budget per Sec. VII-B."""
     [item] = synthesizer.synthesize_many(
-        [case.query],
-        timeout_seconds_each=timeout_seconds,
-        collect_trace=collect_trace,
+        [case.query], timeout_seconds_each=timeout_seconds
     )
     return _case_result_from_item(synthesizer.engine.name, case, item)
 
@@ -112,7 +107,6 @@ def run_dataset(
     progress: Optional[Callable[[CaseResult], None]] = None,
     max_workers: int = 1,
     cache_dir: Optional[str] = None,
-    collect_trace: bool = False,
 ) -> List[CaseResult]:
     """Run a full query set through one engine.
 
@@ -122,9 +116,8 @@ def run_dataset(
     pipeline docs).
     ``cache_dir`` preloads persistent cache snapshots.  With any fan-out,
     ``progress`` fires in completion order rather than dataset order.
-    ``collect_trace`` runs every case with per-stage tracing and fills
-    :attr:`CaseResult.stage_seconds` (where did the budget go — parsing,
-    path search, or merging?).
+    Every case fills :attr:`CaseResult.stage_seconds` (where did the
+    budget go — parsing, path search, or merging?).
     """
     synthesizer = Synthesizer(domain, engine=engine, config=config)
     engine_name = synthesizer.engine.name
@@ -150,6 +143,5 @@ def run_dataset(
         max_workers=max_workers,
         cache_dir=cache_dir,
         on_result=on_result,
-        collect_trace=collect_trace,
     )
     return [convert(item) for item in items]

@@ -145,43 +145,18 @@ class _Handler(BaseHTTPRequestHandler):
         if error is not None:
             self._send(*error)
             return
-        cache_dir = None
-        if isinstance(body, dict):
-            cache_dir = body.get("cache_dir")
-            if cache_dir is not None and not isinstance(cache_dir, str):
-                self._send(*error_response(
-                    "bad_request", "'cache_dir' must be a string"
-                ))
-                return
-            unknown = sorted(set(body) - {"cache_dir"})
-            if unknown:
-                self._send(*error_response(
-                    "bad_request", f"unknown reload field(s): {unknown}"
-                ))
-                return
-        elif body is not None:
-            self._send(*error_response(
-                "bad_request", "reload body must be a JSON object"
-            ))
-            return
-        try:
-            result = self.server.service.reload_snapshots(cache_dir)
-        except Exception as exc:  # the service must stay up
-            self._send(*error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
-            ))
-            return
+        status, payload = self.server.service.handle_reload(body)
         # Multi-worker serving: one worker handled this request, but the
         # operator meant "reload the server" — ask the supervisor to
         # SIGHUP every worker.  (Signal-triggered reloads do not
         # re-notify, so the fan-out terminates.)
         board = getattr(self.server.service, "worker_board", None)
-        if board is not None:
+        if status == 200 and board is not None:
             try:
                 board.notify_siblings_reload()
             except Exception:
                 pass  # this worker's reload already succeeded
-        self._send(200, result)
+        self._send(status, payload)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         service = self.server.service

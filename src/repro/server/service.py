@@ -25,7 +25,7 @@ concerns a long-running deployment needs:
   (:data:`repro.errors.ERROR_CODES` + the serving codes in
   :mod:`repro.server.protocol`);
 * **per-stage observability** — every dispatched request runs the staged
-  pipeline (:mod:`repro.synthesis.stages`) with tracing on; the spans
+  pipeline (:mod:`repro.synthesis.stages`), which records its spans; they
   feed the ``stages`` p50/p99 section of ``GET /stats`` and, on
   ``include_trace`` requests, ride the response payload;
 * **graceful lifecycle** — :meth:`begin_shutdown` flips the service to
@@ -192,10 +192,9 @@ class SynthesisService:
             "requests_with_examples": 0, "verified": 0, "reranked": 0,
             "exhausted": 0,
         }
-        # Every dispatched request runs with tracing on (the per-stage
-        # overhead is two clock reads and a counter snapshot per stage);
-        # the trace feeds the per-stage p50/p99 section of GET /stats and
-        # is returned to the client only on include_trace requests.
+        # Every dispatched request's trace feeds the per-stage p50/p99
+        # section of GET /stats; it is returned to the client only on
+        # include_trace requests.
         self._stage_latency = StageLatencyAggregator()
 
         domains = load_domains(config.domains or None)
@@ -316,7 +315,8 @@ class SynthesisService:
         dispatch_started = time.monotonic()
         try:
             item = self._dispatch(state, request, budget)
-            self._stage_latency.observe(getattr(item, "trace", None))
+            if item.trace is not None:
+                self._stage_latency.observe(item.trace)
             if request.examples is not None:
                 self._count_verification(item)
             if self._scheduler.queueing_enabled and item.outcome is not None:
@@ -363,11 +363,9 @@ class SynthesisService:
         synth = self._synthesizer(state, engine)
         # Per-query cache deltas race across concurrent server requests
         # (shared counters), so they are not recorded: scope is "batch".
-        # Tracing is always on: the spans feed /stats (and the response,
-        # when the request asked for them).
         return _run_single(
             synth, 0, request.query, timeout, record_cache_delta=False,
-            collect_trace=True, examples=request.examples,
+            examples=request.examples,
         )
 
     def _count_verification(self, item: BatchItem) -> None:
@@ -542,6 +540,37 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # Hot snapshot reload (SIGHUP / POST /admin/reload)
     # ------------------------------------------------------------------
+
+    def handle_reload(
+        self, body: Any, id: Any = None
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Validate + run one reload request — ``POST /admin/reload`` and
+        the stdio ``reload`` op share it.  ``body`` is None (reload from
+        the configured directory) or an object whose only field is an
+        optional ``cache_dir`` string; unknown fields are rejected so a
+        typo cannot silently reload the default directory.  Never
+        raises: ``(200, reload payload)`` or a structured error."""
+        if body is not None and not isinstance(body, dict):
+            return error_response(
+                "bad_request", "reload body must be a JSON object", id=id
+            )
+        body = body or {}
+        cache_dir = body.get("cache_dir")
+        if cache_dir is not None and not isinstance(cache_dir, str):
+            return error_response(
+                "bad_request", "'cache_dir' must be a string", id=id
+            )
+        unknown = sorted(set(body) - {"cache_dir"})
+        if unknown:
+            return error_response(
+                "bad_request", f"unknown reload field(s): {unknown}", id=id
+            )
+        try:
+            return 200, self.reload_snapshots(cache_dir)
+        except Exception as exc:  # the service must stay up
+            return error_response(
+                "internal", f"{type(exc).__name__}: {exc}", id=id
+            )
 
     def reload_snapshots(
         self, cache_dir: Optional[str] = None

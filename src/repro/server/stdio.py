@@ -125,30 +125,15 @@ def serve_stdio(
                     response = {"op": "stats", "id": req_id,
                                 "stats": service.stats()}
                 elif op == "reload":
-                    cache_dir = (
-                        payload.get("cache_dir")
-                        if isinstance(payload, dict) else None
+                    status, result = service.handle_reload(
+                        {k: v for k, v in payload.items()
+                         if k not in ("op", "id")},
+                        id=req_id,
                     )
-                    if cache_dir is not None and not isinstance(
-                        cache_dir, str
-                    ):
-                        _, response = error_response(
-                            "bad_request", "'cache_dir' must be a string",
-                            id=req_id,
-                        )
-                    else:
-                        try:
-                            response = {
-                                "op": "reload",
-                                "id": req_id,
-                                "reload": service.reload_snapshots(cache_dir),
-                            }
-                        except Exception as exc:  # service must stay up
-                            _, response = error_response(
-                                "internal",
-                                f"{type(exc).__name__}: {exc}",
-                                id=req_id,
-                            )
+                    response = (
+                        {"op": "reload", "id": req_id, "reload": result}
+                        if status == 200 else result
+                    )
                 elif op == "shutdown":
                     service.begin_shutdown()
                     stop_requested = True

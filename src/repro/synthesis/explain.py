@@ -7,17 +7,19 @@ pruned graph (Step 2), the WordToAPI map (Step 3), the EdgeToPath sizes and
 a sample of candidate paths (Step 4), orphan detection and the relocation
 variants (Sec. V-B), and the synthesized codelet with its statistics.
 
-The walk-through is the *real* staged pipeline, not a re-enactment: the
-query runs once through :func:`repro.synthesis.stages.run_front_end` with
-``keep_artifacts=True``, so the rendered Step 1/Step 2 graphs are the
-exact objects the engine consumed, and the closing per-stage timing
-section comes from the same :class:`~repro.synthesis.stages.Trace` that
-``repro batch --json --trace`` and the server emit.
+The walk-through is the Synthesizer's own run, not a re-enactment: the
+query runs once through the body of :meth:`Synthesizer.synthesize` with
+``keep_artifacts=True``, and the text renders only what that run left
+behind — the stage outputs (so the Step 1/Step 2 graphs are the exact
+objects the engine consumed), the outcome or failure, and the
+:class:`~repro.synthesis.stages.Trace` that ``repro batch --json
+--trace`` and the server emit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import time
+from typing import List, Optional, Tuple
 
 from repro.core.orphan import relocation_variants
 from repro.errors import ReproError
@@ -25,12 +27,12 @@ from repro.synthesis.deadline import Deadline
 from repro.synthesis.domain import Domain
 from repro.synthesis.pipeline import (
     EngineLike,
-    attach_candidates,
-    make_engine,
+    Synthesizer,
+    checked_examples,
 )
 from repro.synthesis.problem import SynthesisProblem
 from repro.synthesis.result import SynthesisOutcome
-from repro.synthesis.stages import SynthesisContext, Trace, run_front_end
+from repro.synthesis.stages import SynthesisContext, Trace
 
 
 def _indent(text: str, prefix: str = "  ") -> str:
@@ -95,6 +97,77 @@ def explain_problem(problem: SynthesisProblem, max_paths_shown: int = 3) -> str:
     return "\n".join(lines)
 
 
+def explain_synthesis(
+    synthesizer: Synthesizer,
+    query: str,
+    timeout_seconds: Optional[float] = 20.0,
+    examples=None,
+    candidates: Optional[int] = None,
+) -> Tuple[str, Optional[SynthesisOutcome], Optional[ReproError]]:
+    """Synthesize ``query`` once and render the six-step walk-through.
+
+    Returns ``(text, outcome, error)`` with exactly one of ``outcome`` /
+    ``error`` set.  The outcome carries this run's cache deltas and wall
+    time, as :meth:`Synthesizer.synthesize` would report them (the
+    outcome cache is not consulted: a replay has nothing to show).
+    Front-end failures (unparseable query, no API candidates, expired
+    deadline) propagate; a failure in Steps 5+ is rendered as ``FAILED``
+    and returned as ``error``.
+    """
+    examples = checked_examples(synthesizer.domain, examples)
+    ctx = SynthesisContext(
+        query=query,
+        domain=synthesizer.domain,
+        deadline=Deadline(timeout_seconds),
+        limits=synthesizer.limits,
+        keep_artifacts=True,
+    )
+    cache = synthesizer.domain.path_cache
+    before = cache.snapshot()
+    started = time.monotonic()
+    try:
+        out, error = synthesizer._run_pipeline(ctx, examples, candidates), None
+    except ReproError as exc:
+        if "edge_to_path" not in ctx.artifacts:
+            raise
+        out, error = None, exc
+    else:
+        out.stats.record_cache_delta(before, cache.snapshot())
+        out.elapsed_seconds = time.monotonic() - started
+
+    lines: List[str] = [f"query: {query}", ""]
+    lines.append("Step 1 — dependency parsing:")
+    lines.append(_indent(ctx.artifacts["parse"].describe()))
+    lines.append("Step 2 — query graph pruning:")
+    lines.append(_indent(ctx.artifacts["prune"].describe()))
+    lines.append(explain_problem(ctx.artifacts["edge_to_path"]))
+    lines.append(f"Steps 5+6 — synthesis ({synthesizer.engine.name}):")
+    if out is None:
+        lines.append(f"  FAILED: {error}")
+    else:
+        # The engine's own answer: verification may have promoted
+        # another candidate since.
+        first = out if out.candidates is None else next(
+            c for c in out.candidates if c.rank == 1
+        )
+        seconds = ctx.trace.stage_seconds()
+        lines.append(f"  codelet: {first.codelet}")
+        lines.append(
+            f"  size={first.size} APIs, "
+            f"{(seconds['merge'] + seconds['codegen']) * 1000:.1f} ms"
+        )
+        lines.append(
+            "  combinations={combinations} pruned_grammar={pruned_grammar} "
+            "pruned_size={pruned_size} merged={merged}".format(
+                **out.stats.as_dict()
+            )
+        )
+        if out.candidates is not None:
+            lines.extend(_candidate_lines(out))
+    lines.extend(_trace_lines(ctx.trace))
+    return "\n".join(lines), out, error
+
+
 def explain_query(
     domain: Domain,
     query: str,
@@ -110,60 +183,12 @@ def explain_query(
     example and the walk-through shows each verdict
     (docs/verification.md).  ``candidates`` (K) appends the ranked
     candidate list without examples, and sets the list depth with them.
-    Both come from :func:`~repro.synthesis.pipeline.attach_candidates`,
-    the step :class:`~repro.synthesis.pipeline.Synthesizer` runs.
     """
-    from repro.verify.examples import normalize_examples
-
-    examples = normalize_examples(examples)
-    lines: List[str] = [f"query: {query}", ""]
-
-    deadline = (
-        Deadline(timeout_seconds)
-        if timeout_seconds is not None
-        else Deadline.unlimited()
+    text, _out, _error = explain_synthesis(
+        Synthesizer(domain, engine=engine), query, timeout_seconds,
+        examples, candidates,
     )
-    ctx = SynthesisContext(
-        query=query,
-        domain=domain,
-        deadline=deadline,
-        trace=Trace(),
-        keep_artifacts=True,
-    )
-    # Front-end failures (unparseable query, no API candidates, expired
-    # deadline) propagate to the caller exactly as before the refactor.
-    problem = run_front_end(ctx)
-
-    lines.append("Step 1 — dependency parsing:")
-    lines.append(_indent(ctx.artifacts["parse"].describe()))
-
-    lines.append("Step 2 — query graph pruning:")
-    lines.append(_indent(ctx.artifacts["prune"].describe()))
-
-    lines.append(explain_problem(problem))
-
-    resolved = make_engine(engine)
-    lines.append(f"Steps 5+6 — synthesis ({resolved.name}):")
-    try:
-        out = resolved.synthesize(problem, ctx=ctx)
-    except ReproError as exc:
-        lines.append(f"  FAILED: {exc}")
-        lines.extend(_trace_lines(ctx.trace))
-        return "\n".join(lines)
-    lines.append(f"  codelet: {out.codelet}")
-    lines.append(
-        f"  size={out.size} APIs, {out.elapsed_seconds * 1000:.1f} ms"
-    )
-    stats = out.stats.as_dict()
-    lines.append(
-        "  combinations={combinations} pruned_grammar={pruned_grammar} "
-        "pruned_size={pruned_size} merged={merged}".format(**stats)
-    )
-    if examples is not None or candidates is not None:
-        attach_candidates(ctx, problem, out, resolved, examples, candidates)
-        lines.extend(_candidate_lines(out))
-    lines.extend(_trace_lines(ctx.trace))
-    return "\n".join(lines)
+    return text
 
 
 def _candidate_lines(out: SynthesisOutcome) -> List[str]:

@@ -3,9 +3,8 @@
 One front end (Steps 1-4: parse, prune, WordToAPI, EdgeToPath), two back
 ends (Steps 5-6): the exhaustive HISyn baseline and DGGT.  The stages
 themselves live in :mod:`repro.synthesis.stages`, each wrapped in a trace
-span when tracing is requested (``collect_trace`` /
-``Synthesizer(trace=True)``; see docs/architecture.md).  The
-:class:`Synthesizer` is the package's main entry point::
+span (see docs/architecture.md).  The :class:`Synthesizer` is the
+package's main entry point::
 
     from repro import Synthesizer, load_domain
     synth = Synthesizer(load_domain("textediting"), engine="dggt")
@@ -54,7 +53,6 @@ from repro.synthesis.result import SynthesisOutcome, SynthesisStats
 from repro.synthesis.stages import (
     VERIFY_STAGE_NAME,
     SynthesisContext,
-    Trace,
     check_stage_entry,
     record_span,
     run_front_end,
@@ -97,6 +95,24 @@ def _check_candidates(candidates: Optional[int]) -> None:
         raise ValueError(f"candidates must be at least 1, got {candidates}")
 
 
+def checked_examples(domain: Domain, examples):
+    """Normalize a request's input→output examples (None when absent).
+
+    Fails fast with :class:`~repro.errors.InvalidExamplesError` when the
+    domain has no registered executor: the caller should learn that
+    before paying for a synthesis whose verdicts could never be produced.
+    """
+    if examples is None:
+        return None
+    from repro.verify.examples import normalize_examples
+    from repro.verify.executors import get_executor
+
+    examples = normalize_examples(examples)
+    if examples is not None:
+        get_executor(domain.name)
+    return examples
+
+
 def attach_candidates(
     ctx: SynthesisContext,
     problem: SynthesisProblem,
@@ -115,8 +131,7 @@ def attach_candidates(
     Mutates ``outcome`` in place: attaches ``candidates`` (in verified
     order when examples were given) and ``verification``, and when
     verification promotes a lower-ranked candidate, swaps in its
-    expression/CGT as the answer.  :class:`Synthesizer` and
-    :func:`~repro.synthesis.explain.explain_query` both run it.
+    expression/CGT as the answer.
     """
     k = candidates if candidates is not None else DEFAULT_TOP_K
     outs = alternative_outcomes(problem, outcome, engine, ctx.deadline, k)
@@ -202,8 +217,8 @@ class BatchItem:
         ``"stage"`` when the staged pipeline attributed the failure to a
         Fig. 3 stage (timeouts always carry it).  ``include_trace``
         attaches the recorded per-stage spans (docs/architecture.md) for
-        successes and failures alike; without a recorded trace the key is
-        omitted, keeping legacy payloads byte-identical.
+        successes and failures alike; a request rejected before any stage
+        ran has no trace, and the key is omitted.
         """
         out: dict = {
             "index": self.index,
@@ -240,9 +255,10 @@ class BatchItem:
     def trace(self):
         """The recorded :class:`~repro.synthesis.stages.Trace`, whether
         the query succeeded (on the outcome) or failed (attached to the
-        error by the stage machinery); None when tracing was off."""
+        error by the stage machinery); None when the query was rejected
+        before any stage ran."""
         if self.outcome is not None:
-            return getattr(self.outcome, "trace", None)
+            return self.outcome.trace
         return getattr(self.error, "trace", None)
 
     @property
@@ -377,7 +393,6 @@ def _process_worker_run(
     index: int,
     query: str,
     timeout_seconds: Optional[float],
-    collect_trace: bool = False,
     examples=None,
     candidates: Optional[int] = None,
 ) -> BatchItem:
@@ -390,8 +405,7 @@ def _process_worker_run(
     assert _WORKER_SYNTH is not None, "worker initializer did not run"
     return _run_single(
         _WORKER_SYNTH, index, query, timeout_seconds,
-        collect_trace=collect_trace, examples=examples,
-        candidates=candidates,
+        examples=examples, candidates=candidates,
     )
 
 
@@ -425,14 +439,11 @@ class Synthesizer:
         config=None,
         limits: Optional[PathSearchLimits] = None,
         cache_outcomes: bool = True,
-        trace: bool = False,
     ):
         self.domain = domain
         self.engine = make_engine(engine, config)
         self.limits = limits
         self.cache_outcomes = cache_outcomes
-        #: Default for per-call ``collect_trace`` (record per-stage spans).
-        self.trace = trace
 
     def build_problem(
         self, query: str, deadline: Optional[Deadline] = None
@@ -473,7 +484,6 @@ class Synthesizer:
         timeout_seconds: Optional[float] = None,
         *,
         record_cache_delta: bool = True,
-        collect_trace: Optional[bool] = None,
         examples=None,
         candidates: Optional[int] = None,
     ) -> SynthesisOutcome:
@@ -492,10 +502,9 @@ class Synthesizer:
         counters shared with concurrent queries would produce racy
         numbers.
 
-        ``collect_trace`` (default: the constructor's ``trace`` flag)
-        records a per-stage :class:`~repro.synthesis.stages.Trace` on
-        ``outcome.trace`` — and on the raised exception when the pipeline
-        fails mid-stage.  Tracing never changes the synthesis result.
+        Every call records a per-stage
+        :class:`~repro.synthesis.stages.Trace` on ``outcome.trace`` — and
+        on the raised exception when the pipeline fails mid-stage.
 
         ``examples`` (input→output pairs: :class:`~repro.verify.IOExample`
         records, ``(input, output)`` tuples, or ``{"input", "output"}``
@@ -517,30 +526,12 @@ class Synthesizer:
         :class:`~repro.synthesis.result.SynthesisStats`) when
         ``record_cache_delta`` is on.
         """
-        from repro.verify.examples import normalize_examples
-
         _check_candidates(candidates)
-        examples = normalize_examples(examples)
-        if examples is not None:
-            # Fail fast: a domain without an executor cannot consume
-            # examples, and the caller should learn that before paying
-            # for a synthesis whose verdicts could never be produced.
-            from repro.verify.executors import get_executor
-
-            get_executor(self.domain.name)
+        examples = checked_examples(self.domain, examples)
         want_candidates = examples is not None or candidates is not None
-        deadline = (
-            Deadline(timeout_seconds)
-            if timeout_seconds is not None
-            else Deadline.unlimited()
-        )
-        tracing = self.trace if collect_trace is None else collect_trace
         ctx = SynthesisContext(
-            query=query,
-            domain=self.domain,
-            deadline=deadline,
-            limits=self.limits,
-            trace=Trace() if tracing else None,
+            query=query, domain=self.domain,
+            deadline=Deadline(timeout_seconds), limits=self.limits,
         )
         # The deadline is checked before the outcome-cache lookup (a zero
         # budget beats a warm cache); attributed to "parse", the stage the
@@ -555,46 +546,51 @@ class Synthesizer:
             if self.cache_outcomes and not want_candidates
             else None
         )
-        if key is not None:
-            cached = cache.get_outcome(key)
-            if cached is not None:
-                outcome = self._replay(cached)
+        cached = cache.get_outcome(key) if key is not None else None
+        if cached is not None:
+            outcome = self._replay(cached)
+            # No stages ran; the trace records only the hit.
+            ctx.trace.cache_hit = True
+            outcome.trace = ctx.trace
+        else:
+            try:
+                outcome = self._run_pipeline(ctx, examples, candidates)
+            except ReproError as exc:
                 if record_cache_delta:
-                    outcome.stats.record_cache_delta(
+                    # A failed query's lookups count too:
+                    # BatchItem.cache_stats reads them from here for
+                    # ``repro batch --stats``.
+                    exc.cache_stats = SynthesisStats()
+                    exc.cache_stats.record_cache_delta(
                         before, cache.snapshot()
                     )
-                else:
-                    outcome.stats.mark_cache_delta_unrecorded()
-                if ctx.trace is not None:
-                    # No stages ran; the trace records only the hit.
-                    ctx.trace.cache_hit = True
-                    outcome.trace = ctx.trace
-                outcome.elapsed_seconds = time.monotonic() - started
-                return outcome
-
-        try:
-            problem = run_front_end(ctx)
-            outcome = self.engine.synthesize(problem, ctx=ctx)
-            if want_candidates:
-                attach_candidates(
-                    ctx, problem, outcome, self.engine, examples, candidates
-                )
-        except ReproError as exc:
-            if record_cache_delta:
-                # A failed query's lookups count too: BatchItem.cache_stats
-                # reads them from here for ``repro batch --stats``.
-                exc.cache_stats = SynthesisStats()
-                exc.cache_stats.record_cache_delta(before, cache.snapshot())
-            raise
-        outcome.query = query
+                raise
         if record_cache_delta:
             outcome.stats.record_cache_delta(before, cache.snapshot())
         else:
             outcome.stats.mark_cache_delta_unrecorded()
         outcome.elapsed_seconds = time.monotonic() - started
-        if key is not None:
+        if key is not None and cached is None:
             cache.put_outcome(key, outcome)
-        outcome.trace = ctx.trace
+        return outcome
+
+    def _run_pipeline(
+        self,
+        ctx: SynthesisContext,
+        examples=None,
+        candidates: Optional[int] = None,
+    ) -> SynthesisOutcome:
+        """The uncached body of :meth:`synthesize`: Steps 1-6 under
+        ``ctx``, then the rank+verify step when the caller supplied
+        (normalized) examples or asked for candidates.  ``repro explain``
+        runs it with ``ctx.keep_artifacts`` on and renders what the
+        stages left behind."""
+        problem = run_front_end(ctx)
+        outcome = self.engine.synthesize(problem, ctx=ctx)
+        if examples is not None or candidates is not None:
+            attach_candidates(
+                ctx, problem, outcome, self.engine, examples, candidates
+            )
         return outcome
 
     # ------------------------------------------------------------------
@@ -635,7 +631,6 @@ class Synthesizer:
         max_workers: int = 1,
         cache_dir: Optional[str] = None,
         on_result=None,
-        collect_trace: bool = False,
         candidates: Optional[int] = None,
     ) -> List[BatchItem]:
         """Synthesize a batch of queries.
@@ -661,10 +656,9 @@ class Synthesizer:
         :class:`BatchItem` as it completes — in input order for a serial
         run, in completion order otherwise.
 
-        ``collect_trace=True`` records per-stage spans on every item
-        (``item.trace``; ``repro batch --json --trace`` renders them) —
-        identical semantics either way, traces pickle across the worker
-        pipe.
+        Every item carries its per-stage spans (``item.trace``; ``repro
+        batch --json --trace`` renders them); traces pickle across the
+        worker pipe.
 
         Entries may also be ``(query, examples)`` pairs or ``{"query",
         "examples"}`` objects (the JSONL batch shape) to verify individual
@@ -677,7 +671,7 @@ class Synthesizer:
         if max_workers > 1:
             return self._synthesize_many_process(
                 entries, timeout_seconds_each, max_workers, cache_dir,
-                on_result, collect_trace, candidates,
+                on_result, candidates,
             )
 
         if cache_dir is not None:
@@ -686,8 +680,7 @@ class Synthesizer:
         for index, (query, examples) in enumerate(entries):
             item = _run_single(
                 self, index, query, timeout_seconds_each,
-                collect_trace=collect_trace, examples=examples,
-                candidates=candidates,
+                examples=examples, candidates=candidates,
             )
             if on_result is not None:
                 on_result(item)
@@ -701,7 +694,6 @@ class Synthesizer:
         max_workers: int,
         cache_dir: Optional[str],
         on_result,
-        collect_trace: bool = False,
         candidates: Optional[int] = None,
     ) -> List[BatchItem]:
         spec = self._worker_spec(cache_dir)
@@ -716,7 +708,7 @@ class Synthesizer:
             futures = [
                 pool.submit(
                     _process_worker_run, i, q, timeout_seconds_each,
-                    collect_trace, ex, candidates,
+                    ex, candidates,
                 )
                 for i, (q, ex) in enumerate(entries)
             ]

@@ -141,8 +141,9 @@ class SynthesisOutcome:
     #: case the field is omitted from :meth:`to_json`.
     queue_wait_ms: Optional[float] = None
     #: Per-stage spans recorded by the staged pipeline
-    #: (:class:`repro.synthesis.stages.Trace`); None unless tracing was
-    #: requested.  Typed loosely to keep result.py free of stage imports.
+    #: (:class:`repro.synthesis.stages.Trace`), which sets it on every
+    #: outcome it produces.  Typed loosely to keep result.py free of
+    #: stage imports.
     trace: Optional[object] = None
     #: The top-K candidate list, final order (tuple of
     #: :class:`repro.synthesis.ranking.RankedCandidate`); None unless the
@@ -165,9 +166,7 @@ class SynthesisOutcome:
         batch CLI and the serving front ends (see docs/serving.md).
 
         ``include_trace`` attaches the per-stage span payload (see
-        docs/architecture.md) when a trace was recorded; without a
-        recorded trace the key is omitted, keeping legacy payloads
-        byte-identical.
+        docs/architecture.md).
         """
         out: Dict[str, object] = {
             "query": self.query,
@@ -187,7 +186,7 @@ class SynthesisOutcome:
             out["verification"] = self.verification.to_json()
         if include_stats:
             out["stats"] = self.stats.to_json()
-        if include_trace and self.trace is not None:
+        if include_trace:
             out["trace"] = self.trace.to_json()
         return out
 

@@ -16,37 +16,43 @@ Step    stage name      implementation
 6       ``codegen``     :func:`repro.core.expression.cgt_to_expression`
 ======  ==============  ==================================================
 
-A :class:`SynthesisContext` (query, domain, deadline, stats, optional
-:class:`Trace`) is threaded through every stage; :func:`run_stage` wraps
-each one in a lightweight span — monotonic wall time, deadline remaining,
-deltas of the Table III counters — and attributes cooperative timeouts to
-the stage they fired in (``exc.stage``/``exc.trace``).  Traces flow
-end-to-end: ``SynthesisOutcome.to_json(include_trace=True)``, ``repro
+A :class:`SynthesisContext` (query, domain, deadline, stats, and the
+query's :class:`Trace`) is threaded through every stage; :func:`run_stage`
+wraps each one in a lightweight span — monotonic wall time, deadline
+remaining, deltas of the Table III counters — and attributes cooperative
+timeouts to the stage they fired in (``exc.stage``/``exc.trace``).  Traces
+flow end-to-end: ``SynthesisOutcome.to_json(include_trace=True)``, ``repro
 batch --json --trace``, the serving front ends (``include_trace``
 requests), and the per-stage p50/p99 aggregates in ``GET /stats``
 (:class:`StageLatencyAggregator`).  See docs/architecture.md.
 
-Tracing is opt-in and behavior-preserving: with ``trace=None`` the stages
-run exactly the pre-refactor code path (byte-identical codelets,
-identical stats counters), and with tracing on the only extra work is two
+Spans are always recorded; only their output is opt-in.  A span costs two
 clock reads and a counter snapshot per stage (< 5% on the warm path,
-pinned by benchmarks/test_trace_overhead.py).
+pinned by benchmarks/test_trace_overhead.py) and never changes the
+synthesis result.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.compat import slotted_dataclass
 from repro.core.expression import cgt_to_expression
 from repro.errors import ReproError, SynthesisError, SynthesisTimeout
 from repro.grammar.paths import PathSearchLimits
 from repro.nlp.parser import parse_query
 from repro.nlp.pruning import prune_query_graph
 from repro.synthesis.deadline import Deadline
+from repro.synthesis.problem import (
+    SynthesisProblem,
+    build_candidates,
+    drop_candidateless,
+)
 from repro.synthesis.result import SynthesisOutcome, SynthesisStats
 
 #: The six Fig. 3 stages, in execution order.  Stage names are part of
@@ -74,25 +80,23 @@ VERIFY_STAGE_NAME = "verify"
 ALL_STAGE_NAMES: Tuple[str, ...] = STAGE_NAMES + (VERIFY_STAGE_NAME,)
 
 
-def _stat_counters(stats: SynthesisStats) -> Dict[str, int]:
-    """The Table III counters a span snapshots (as_dict short names);
-    the cache-delta fields are set *after* the pipeline runs, so they are
-    excluded — their deltas through any stage are always zero."""
-    return {
-        "dep_edges": stats.n_dep_edges,
-        "orig_paths": stats.n_orig_paths,
-        "paths_after_reloc": stats.n_paths_after_reloc,
-        "orphans": stats.n_orphans,
-        "reloc_variants": stats.n_reloc_variants,
-        "combinations": stats.n_combinations,
-        "pruned_grammar": stats.pruned_by_grammar,
-        "pruned_size": stats.pruned_by_size,
-        "merged": stats.n_merged,
-        "valid_cgts": stats.n_valid_cgts,
-    }
+#: The Table III counters a span snapshots, by as_dict short name, and
+#: the one-call tuple snapshot of the matching SynthesisStats fields.  The
+#: cache-delta fields are set *after* the pipeline runs, so they are
+#: excluded — their deltas through any stage are always zero.
+_COUNTER_NAMES: Tuple[str, ...] = (
+    "dep_edges", "orig_paths", "paths_after_reloc", "orphans",
+    "reloc_variants", "combinations", "pruned_grammar", "pruned_size",
+    "merged", "valid_cgts",
+)
+_stat_counters = operator.attrgetter(
+    "n_dep_edges", "n_orig_paths", "n_paths_after_reloc", "n_orphans",
+    "n_reloc_variants", "n_combinations", "pruned_by_grammar",
+    "pruned_by_size", "n_merged", "n_valid_cgts",
+)
 
 
-@dataclass
+@slotted_dataclass()
 class StageSpan:
     """One stage execution inside a :class:`Trace`.
 
@@ -121,7 +125,7 @@ class StageSpan:
         }
 
 
-@dataclass
+@slotted_dataclass()
 class Trace:
     """Per-query record of the stages that ran, in order.
 
@@ -173,7 +177,7 @@ class Trace:
 class SynthesisContext:
     """Everything threaded through the staged pipeline for one query.
 
-    ``trace=None`` (the default) disables span recording entirely;
+    ``trace`` collects the spans of every stage that runs;
     ``keep_artifacts`` makes :func:`run_stage` retain each stage's return
     value in ``artifacts`` (used by ``repro explain``, never by the
     serving path — artifacts hold whole dependency graphs and problems).
@@ -184,7 +188,7 @@ class SynthesisContext:
     deadline: Deadline
     limits: Optional[PathSearchLimits] = None
     stats: SynthesisStats = field(default_factory=SynthesisStats)
-    trace: Optional[Trace] = None
+    trace: Trace = field(default_factory=Trace)
     keep_artifacts: bool = False
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
@@ -203,14 +207,14 @@ class Stage:
 
 
 def _mark_timeout(
-    exc: SynthesisTimeout, stage_name: str, trace: Optional[Trace]
+    exc: SynthesisTimeout, stage_name: str, trace: Trace
 ) -> None:
     """Attribute a timeout to the stage it fired in.  The attributes ride
     ``SynthesisTimeout.__reduce__``'s ``__dict__`` element, so they
     survive the process-pool worker pipe like ``partial_stats`` does."""
     if getattr(exc, "stage", None) is None:
         exc.stage = stage_name
-    if trace is not None and getattr(exc, "trace", None) is None:
+    if getattr(exc, "trace", None) is None:
         exc.trace = trace
 
 
@@ -218,7 +222,7 @@ def _finish_span(
     ctx: SynthesisContext,
     stage_name: str,
     started: float,
-    counters_before: Dict[str, int],
+    counters_before: Tuple[int, ...],
     status: str,
 ) -> None:
     elapsed = time.monotonic() - started
@@ -235,10 +239,12 @@ def _finish_span(
             elapsed_seconds=elapsed,
             deadline_remaining_seconds=remaining,
             status=status,
-            counters={
-                name: value - counters_before[name]
-                for name, value in after.items()
-                if value != counters_before[name]
+            counters={} if after == counters_before else {
+                name: value - before
+                for name, value, before in zip(
+                    _COUNTER_NAMES, after, counters_before
+                )
+                if value != before
             },
         )
     )
@@ -249,21 +255,8 @@ def run_stage(ctx: SynthesisContext, stage: Stage, value: Any) -> Any:
 
     The deadline is checked at stage entry, and a
     :class:`SynthesisTimeout` raised anywhere inside the stage is
-    attributed to it (``exc.stage``, plus ``exc.trace`` when tracing).
-    With ``ctx.trace`` unset this adds nothing but the entry check the
-    monolithic pipeline already performed.
+    attributed to it (``exc.stage`` and ``exc.trace``).
     """
-    if ctx.trace is None:
-        try:
-            ctx.deadline.check()
-            result = stage.run(ctx, value)
-        except SynthesisTimeout as exc:
-            _mark_timeout(exc, stage.name, None)
-            raise
-        if ctx.keep_artifacts:
-            ctx.artifacts[stage.name] = result
-        return result
-
     started = time.monotonic()
     counters_before = _stat_counters(ctx.stats)
     try:
@@ -293,10 +286,8 @@ def record_span(
     """Append a span for work timed outside :func:`run_stage` (used by
     the verification stage, which must never raise a timeout for a query
     that already synthesized successfully — it falls back instead, so the
-    run_stage entry check would be wrong for it).  No-op without a trace.
+    run_stage entry check would be wrong for it).
     """
-    if ctx.trace is None:
-        return
     _finish_span(ctx, stage_name, started, _stat_counters(ctx.stats), status)
 
 
@@ -311,14 +302,10 @@ def check_stage_entry(ctx: SynthesisContext, stage_name: str) -> None:
     try:
         ctx.deadline.check()
     except SynthesisTimeout as exc:
-        if ctx.trace is not None:
-            _finish_span(
-                ctx,
-                stage_name,
-                time.monotonic(),
-                _stat_counters(ctx.stats),
-                "timeout",
-            )
+        _finish_span(
+            ctx, stage_name, time.monotonic(), _stat_counters(ctx.stats),
+            "timeout",
+        )
         _mark_timeout(exc, stage_name, ctx.trace)
         raise
 
@@ -353,11 +340,6 @@ class WordToApiStage(Stage):
     name = "word_to_api"
 
     def run(self, ctx: SynthesisContext, pruned):
-        from repro.synthesis.problem import (
-            build_candidates,
-            drop_candidateless,
-        )
-
         candidates = build_candidates(ctx.domain, pruned)
         pruned = drop_candidateless(pruned, candidates)
         if not candidates.get(pruned.root):
@@ -380,8 +362,6 @@ class EdgeToPathStage(Stage):
     name = "edge_to_path"
 
     def run(self, ctx: SynthesisContext, value):
-        from repro.synthesis.problem import SynthesisProblem
-
         pruned, candidates = value
         return SynthesisProblem(
             ctx.domain, pruned, candidates, ctx.limits, ctx.deadline
@@ -444,6 +424,7 @@ class CodegenStage(Stage):
             cgt=cgt,
             size=cgt.api_count(graph),
             stats=ctx.stats,
+            trace=ctx.trace,
         )
 
 
@@ -506,9 +487,7 @@ class StageLatencyAggregator:
         self._cache_hits = 0
         self._observed = 0
 
-    def observe(self, trace: Optional[Trace]) -> None:
-        if trace is None:
-            return
+    def observe(self, trace: Trace) -> None:
         with self._lock:
             self._observed += 1
             if trace.cache_hit:

@@ -166,6 +166,27 @@ class TestMain:
         assert code == 0
         assert " pruned_grammar=0 " in capsys.readouterr().out
 
+    def test_explain_runs_the_pipeline_once(self, capsys, monkeypatch):
+        # The walk-through, the printed codelet, the verdicts and the
+        # --stats lines all come from one run.
+        from repro.verify import verifier
+
+        calls = []
+        real = verifier.verify_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "verify_candidates", counting)
+        code = main(["--explain", "--stats", "--example", "aa\\nbb=-aa\\n-bb",
+                     'place "-" at the start of each line'])
+        assert code == 0
+        assert len(calls) == 1
+        out, err = capsys.readouterr()
+        assert "promoted rank 2: " in out
+        assert "# verification: status=verified winner_rank=2" in err
+
     def test_explain_flag(self, capsys):
         code = main(["--explain", "print every line"])
         out = capsys.readouterr().out

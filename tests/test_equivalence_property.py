@@ -15,9 +15,12 @@ from repro.baseline.hisyn import HISynEngine
 from repro.cli import _bundled_queries
 from repro.core.dggt import DggtConfig, DggtEngine
 from repro.domains import load_domain
-from repro.errors import SynthesisError
-from repro.synthesis.pipeline import Synthesizer
+from repro.errors import ReproError, SynthesisError
+from repro.synthesis.pipeline import Synthesizer, make_engine
 from repro.synthesis.problem import build_problem
+from repro.synthesis.result import SynthesisStats
+from repro.synthesis.stages import STAGE_NAMES
+from tests.bare_pipeline import synthesize_bare
 
 _VERBS = st.sampled_from(["insert", "delete"])
 _OBJECTS = st.sampled_from(['a string', 'numbers', '":"', 'the string "#"'])
@@ -72,29 +75,33 @@ class TestEngineEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Tracing is behaviour-preserving (staged-pipeline refactor guard)
+# Span recording is behaviour-preserving (staged-pipeline guard)
 # ---------------------------------------------------------------------------
 
 
 def _suite(domain_name, limit=None):
-    def build_domain(fresh):
-        return load_domain(domain_name, fresh=fresh)
-
     queries = _bundled_queries(domain_name)
-    return build_domain, queries[:limit] if limit else queries
+    return queries[:limit] if limit else queries
 
 
-def _run_suite(build_domain, queries, engine, collect_trace):
-    """One full pass over a suite on a fresh domain; everything observable
-    except wall time and the trace itself, per query."""
-    synth = Synthesizer(build_domain(fresh=True), engine=engine)
+def _table3(stats):
+    """The engine's counters, without the per-query cache deltas."""
+    counters = stats.as_dict()
+    for name in SynthesisStats.CACHE_FIELDS:
+        del counters[name]
+    return counters
+
+
+def _run_suite(domain_name, queries, engine):
+    """One :meth:`Synthesizer.synthesize_many` pass over a suite on a
+    fresh domain; per query, everything observable except wall time,
+    the trace and the cache deltas."""
+    synth = Synthesizer(load_domain(domain_name, fresh=True), engine=engine)
     results = []
-    for item in synth.synthesize_many(queries, collect_trace=collect_trace):
+    for item in synth.synthesize_many(queries):
         if item.ok:
-            results.append(
-                ("ok", item.outcome.codelet, item.outcome.size,
-                 item.outcome.stats.as_dict())
-            )
+            results.append(("ok", item.outcome.codelet, item.outcome.size,
+                            _table3(item.outcome.stats)))
         else:
             results.append(
                 (item.status, type(item.error).__name__, str(item.error))
@@ -102,19 +109,35 @@ def _run_suite(build_domain, queries, engine, collect_trace):
     return results
 
 
-class TestTracingEquivalence:
-    """Tracing on vs. off: byte-identical codelets, identical counters.
+def _run_bare(domain_name, queries, engine):
+    """The same pass through the six stage bodies called directly."""
+    domain = load_domain(domain_name, fresh=True)
+    engine = make_engine(engine)
+    results = []
+    for query in queries:
+        try:
+            expression, size, stats = synthesize_bare(domain, engine, query)
+        except ReproError as exc:
+            results.append(("error", type(exc).__name__, str(exc)))
+            continue
+        results.append(("ok", expression.render(), size, _table3(stats)))
+    return results
 
-    The staged refactor's core invariant — recording spans must never
+
+class TestTracingEquivalence:
+    """Spans on every stage vs. the bare stage bodies: byte-identical
+    codelets, identical counters.
+
+    The staged pipeline's core invariant — recording spans must never
     change what is synthesized or what the Table III counters report.
     """
 
     @pytest.mark.parametrize("domain_name", ["textediting", "astmatcher"])
     def test_full_suite_dggt(self, domain_name):
-        build_domain, queries = _suite(domain_name)
-        plain = _run_suite(build_domain, queries, "dggt", False)
-        traced = _run_suite(build_domain, queries, "dggt", True)
-        assert plain == traced
+        queries = _suite(domain_name)
+        bare = _run_bare(domain_name, queries, "dggt")
+        traced = _run_suite(domain_name, queries, "dggt")
+        assert bare == traced
 
     @pytest.mark.parametrize(
         "domain_name,limit",
@@ -123,24 +146,23 @@ class TestTracingEquivalence:
         ids=["textediting", "astmatcher", "spreadsheet", "stringxform"],
     )
     def test_suite_slice_hisyn(self, domain_name, limit):
-        """Also the paper's own oracle (Sec. VII-B.2): wherever HISyn
+        """The paper's own oracle (Sec. VII-B.2): wherever HISyn
         finishes, DGGT synthesizes the same codelet."""
-        build_domain, queries = _suite(domain_name, limit=limit)
-        plain = _run_suite(build_domain, queries, "hisyn", False)
-        traced = _run_suite(build_domain, queries, "hisyn", True)
-        assert plain == traced
-        dggt = _run_suite(build_domain, queries, "dggt", False)
+        queries = _suite(domain_name, limit=limit)
+        hisyn = _run_suite(domain_name, queries, "hisyn")
+        dggt = _run_suite(domain_name, queries, "dggt")
         finished = 0
-        for query, h, d in zip(queries, plain, dggt):
+        for query, h, d in zip(queries, hisyn, dggt):
             if h[0] == "ok":
                 finished += 1
                 assert d[:2] == h[:2], query
         assert finished
 
     def test_traced_run_actually_traces(self):
-        build_domain, queries = _suite("textediting", limit=5)
-        synth = Synthesizer(build_domain(fresh=True))
-        items = synth.synthesize_many(queries, collect_trace=True)
+        queries = _suite("textediting", limit=5)
+        synth = Synthesizer(load_domain("textediting", fresh=True))
+        items = synth.synthesize_many(queries)
         assert all(
-            item.trace is not None for item in items
+            [s.stage for s in item.trace.spans] == list(STAGE_NAMES)
+            for item in items
         )

@@ -127,6 +127,16 @@ class TestStdioLoop:
         assert result["domains"]["textediting"]["snapshot_loaded"] is True
         assert bad["error"]["code"] == "bad_request"
 
+    def test_reload_op_rejects_unknown_fields(self, tmp_path):
+        # A misspelled "cache_dir" must not reload the default directory,
+        # exactly as POST /admin/reload refuses it.
+        (typo,) = run_lines(
+            [{"op": "reload", "id": 3, "cache_dri": str(tmp_path)}]
+        )
+        assert typo["status"] == "error" and typo["id"] == 3
+        assert typo["error"]["code"] == "bad_request"
+        assert "cache_dri" in typo["error"]["message"]
+
 
 class TestStdioShutdownWithQueue:
     def test_shutdown_agrees_with_http_semantics(self):

@@ -53,26 +53,22 @@ class TestSpans:
 
     @pytest.mark.parametrize("engine", ["dggt", "hisyn"])
     def test_all_six_stages_in_order(self, engine):
-        out = fresh_synth(engine=engine).synthesize(
-            QUERY, collect_trace=True
-        )
+        out = fresh_synth(engine=engine).synthesize(QUERY)
         trace = out.trace
         assert trace is not None and not trace.cache_hit
         assert [s.stage for s in trace.spans] == list(STAGE_NAMES)
         assert all(s.status == "ok" for s in trace.spans)
         assert all(s.elapsed_seconds >= 0.0 for s in trace.spans)
 
-    def test_tracing_off_by_default(self):
+    def test_spans_recorded_without_asking(self):
+        # Spans are always recorded; what stays off by default is their
+        # output on the wire.
         out = fresh_synth().synthesize(QUERY)
-        assert out.trace is None
-
-    def test_synthesizer_trace_flag_sets_default(self):
-        out = fresh_synth(trace=True).synthesize(QUERY)
-        assert out.trace is not None
         assert out.trace.span("merge") is not None
+        assert "trace" not in out.to_json()
 
     def test_merge_span_carries_counter_deltas(self):
-        out = fresh_synth().synthesize(QUERY, collect_trace=True)
+        out = fresh_synth().synthesize(QUERY)
         merge = out.trace.span("merge")
         assert merge.counters["dep_edges"] == out.stats.n_dep_edges
         assert merge.counters["merged"] == out.stats.n_merged
@@ -80,15 +76,11 @@ class TestSpans:
         assert out.trace.span("parse").counters == {}
 
     def test_deadline_remaining_recorded(self):
-        out = fresh_synth().synthesize(
-            QUERY, timeout_seconds=30.0, collect_trace=True
-        )
+        out = fresh_synth().synthesize(QUERY, timeout_seconds=30.0)
         for span in out.trace.spans:
             assert 0.0 <= span.deadline_remaining_seconds <= 30.0
         # Unlimited deadline -> remaining is None.
-        out = fresh_synth().synthesize(
-            QUERY, timeout_seconds=None, collect_trace=True
-        )
+        out = fresh_synth().synthesize(QUERY, timeout_seconds=None)
         assert all(
             s.deadline_remaining_seconds is None for s in out.trace.spans
         )
@@ -106,7 +98,7 @@ class TestSpans:
         assert trace.timed_out_stage is None
 
     def test_trace_json_shape(self):
-        out = fresh_synth().synthesize(QUERY, collect_trace=True)
+        out = fresh_synth().synthesize(QUERY)
         payload = out.trace.to_json()
         assert payload["cache_hit"] is False
         assert payload["total_ms"] > 0
@@ -126,19 +118,21 @@ class TestSpans:
 class TestCacheHits:
     def test_cache_hit_trace_is_empty(self):
         synth = fresh_synth()
-        first = synth.synthesize(QUERY, collect_trace=True)
-        second = synth.synthesize(QUERY, collect_trace=True)
+        first = synth.synthesize(QUERY)
+        second = synth.synthesize(QUERY)
         assert not first.trace.cache_hit
         assert second.trace.cache_hit
         assert second.trace.spans == []
         assert second.codelet == first.codelet
 
-    def test_cache_hit_without_tracing_has_no_trace(self):
+    def test_cache_hit_does_not_leak_first_trace(self):
         synth = fresh_synth()
-        synth.synthesize(QUERY, collect_trace=True)
+        first = synth.synthesize(QUERY)
         replay = synth.synthesize(QUERY)
-        # The cached outcome must not leak the first call's trace.
-        assert replay.trace is None
+        # The cached outcome keeps its own trace; a replay gets a fresh
+        # cache-hit one.
+        assert replay.trace is not first.trace
+        assert replay.trace.cache_hit and not first.trace.cache_hit
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +144,11 @@ class TestTimeoutAttribution:
     @pytest.mark.parametrize("engine", ["dggt", "hisyn"])
     def test_zero_budget_names_parse_stage(self, engine):
         with pytest.raises(SynthesisTimeout) as err:
-            fresh_synth(engine=engine).synthesize(
-                QUERY, timeout_seconds=0, collect_trace=True
-            )
+            fresh_synth(engine=engine).synthesize(QUERY, timeout_seconds=0)
         assert err.value.stage == "parse"
         assert err.value.trace.timed_out_stage == "parse"
         [span] = err.value.trace.spans
         assert (span.stage, span.status) == ("parse", "timeout")
-
-    def test_zero_budget_names_stage_without_tracing(self):
-        with pytest.raises(SynthesisTimeout) as err:
-            fresh_synth().synthesize(QUERY, timeout_seconds=0)
-        assert err.value.stage == "parse"
-        assert getattr(err.value, "trace", None) is None
 
     @pytest.mark.parametrize("engine", ["dggt", "hisyn"])
     def test_expired_deadline_at_engine_names_merge(self, engine):
@@ -172,7 +158,6 @@ class TestTimeoutAttribution:
             query=QUERY,
             domain=domain,
             deadline=Deadline(0),
-            trace=Trace(),
         )
         with pytest.raises(SynthesisTimeout) as err:
             make_engine(engine).synthesize(problem, ctx=ctx)
@@ -190,7 +175,6 @@ class TestTimeoutAttribution:
             query=QUERY,
             domain=None,
             deadline=Deadline.unlimited(),
-            trace=Trace(),
         )
         with pytest.raises(SynthesisTimeout) as err:
             run_stage(ctx, Boom(), None)
@@ -199,7 +183,7 @@ class TestTimeoutAttribution:
 
     def test_front_end_error_carries_trace(self):
         with pytest.raises(SynthesisError) as err:
-            fresh_synth().synthesize("zzz qqq xxx", collect_trace=True)
+            fresh_synth().synthesize("zzz qqq xxx")
         trace = err.value.trace
         assert trace.span("word_to_api").status == "error"
         assert trace.timed_out_stage is None
@@ -213,7 +197,6 @@ class TestTimeoutAttribution:
             [QUERY],
             timeout_seconds_each=0,
             max_workers=max_workers,
-            collect_trace=True,
         )
         assert item.status == "timeout"
         assert item.error.stage in FRONT_END_STAGE_NAMES
@@ -231,7 +214,7 @@ class TestTimeoutAttribution:
         assert clone.trace.timed_out_stage == "merge"
 
     def test_trace_pickles(self):
-        out = fresh_synth().synthesize(QUERY, collect_trace=True)
+        out = fresh_synth().synthesize(QUERY)
         clone = pickle.loads(pickle.dumps(out.trace))
         assert [s.stage for s in clone.spans] == list(STAGE_NAMES)
 
@@ -251,16 +234,17 @@ class TestProcessBackendTraces:
         items = synth.synthesize_many(
             [QUERY, "delete every word that contains numbers"],
             max_workers=2,
-            collect_trace=True,
         )
         for item in items:
             assert item.ok
             assert [s.stage for s in item.trace.spans] == list(STAGE_NAMES)
 
     def test_traces_off_by_default(self):
+        # The trace crosses the worker pipe; its payload stays opt-in.
         synth = Synthesizer(load_domain("textediting"))
         [item] = synth.synthesize_many([QUERY], max_workers=2)
-        assert item.trace is None
+        assert item.trace is not None
+        assert "trace" not in item.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +313,6 @@ class TestAggregator:
         assert snap["cache_hits"] == 0
         assert snap["stages"] == {}
 
-    def test_observe_none_is_noop(self):
-        agg = StageLatencyAggregator()
-        agg.observe(None)
-        assert agg.snapshot()["observed"] == 0
-
     def test_percentiles_over_known_samples(self):
         agg = StageLatencyAggregator()
         for ms in range(1, 101):
@@ -381,17 +360,14 @@ class TestAggregator:
 
 class TestPayloads:
     def test_outcome_to_json_trace_opt_in(self):
-        out = fresh_synth().synthesize(QUERY, collect_trace=True)
+        out = fresh_synth().synthesize(QUERY)
         assert "trace" not in out.to_json()
         payload = out.to_json(include_trace=True)
         assert payload["trace"]["cache_hit"] is False
-        # include_trace on an untraced outcome adds nothing.
-        bare = fresh_synth().synthesize(QUERY)
-        assert "trace" not in bare.to_json(include_trace=True)
 
     def test_batch_item_to_json_trace_opt_in(self):
         synth = fresh_synth()
-        [item] = synth.synthesize_many([QUERY], collect_trace=True)
+        [item] = synth.synthesize_many([QUERY])
         default = item.to_json()
         assert "trace" not in default  # pinned legacy schema
         traced = item.to_json(include_trace=True)

@@ -411,7 +411,6 @@ class TestPipelineIntegration:
         out = synth.synthesize(
             'substitute "y" for "x"',
             examples=[("axbx", "ayby")],
-            collect_trace=True,
         )
         stages = [span.stage for span in out.trace.spans]
         assert stages == list(STAGE_NAMES) + [VERIFY_STAGE_NAME]
@@ -461,7 +460,6 @@ class TestPipelineIntegration:
             query,
             timeout_seconds=0.45,
             examples=[("axbx", "ayby")],
-            collect_trace=True,
         )
         report = out.verification
         assert report.status == "deadline_exhausted"
