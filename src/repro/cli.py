@@ -9,7 +9,7 @@ Examples::
     python -m repro --domain astmatcher 'find virtual methods'
     python -m repro --engine hisyn --timeout 20 "insert ':' at the start"
     python -m repro --explain "append ':' in every line containing numerals"
-    python -m repro --list-domains
+    python -m repro domains
 
 Batch mode reads one query per line from a file (or stdin with ``-``) and
 runs them through :meth:`Synthesizer.synthesize_many`::
@@ -42,7 +42,6 @@ plain files that become registered domains (see docs/domain_packs.md)::
     python -m repro pack validate ./mydomain
     python -m repro pack list
     python -m repro pack info spreadsheet
-    python -m repro domains
     python -m repro --pack-dir ./mydomain --domain mydomain "show messages"
 """
 
@@ -170,10 +169,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-orphan-relocation", action="store_true",
         help="disable orphan node relocation (ablation)",
-    )
-    parser.add_argument(
-        "--list-domains", action="store_true",
-        help="list registered domains (built-in and pack-backed)",
     )
     _pack_dir_argument(parser)
     parser.add_argument(
@@ -1063,7 +1058,16 @@ def _domain_listing() -> "dict":
     return listing
 
 
-def _print_domain_listing(listing: "dict") -> None:
+def domains_main(argv: Optional[List[str]] = None) -> int:
+    args = build_domains_arg_parser().parse_args(argv)
+    error = _register_pack_dirs(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    listing = _domain_listing()
+    if args.json:
+        print(json.dumps(listing, indent=2))
+        return 0
     for name, entry in listing.items():
         if "error" in entry:
             print(f"{name}: UNLOADABLE ({entry['error']})")
@@ -1077,19 +1081,6 @@ def _print_domain_listing(listing: "dict") -> None:
                 f"from {pack.get('source')}"
             )
         print(line)
-
-
-def domains_main(argv: Optional[List[str]] = None) -> int:
-    args = build_domains_arg_parser().parse_args(argv)
-    error = _register_pack_dirs(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    listing = _domain_listing()
-    if args.json:
-        print(json.dumps(listing, indent=2))
-    else:
-        _print_domain_listing(listing)
     return 0
 
 
@@ -1112,12 +1103,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {pack_error}", file=sys.stderr)
         return 2
 
-    if args.list_domains:
-        _print_domain_listing(_domain_listing())
-        return 0
-
     if not args.query:
-        print("error: a query is required (or use --list-domains)", file=sys.stderr)
+        print(
+            "error: a query is required (or use `repro domains` to list "
+            "domains)",
+            file=sys.stderr,
+        )
         return 2
 
     if args.timeout < 0:

@@ -103,44 +103,17 @@ from repro.grammar.path_voted import (
 _MISSING = object()
 
 
-DEFAULT_MAX_PATH_ENTRIES = 8192
-DEFAULT_MAX_CONFLICT_ENTRIES = 4096
-DEFAULT_MAX_SIZE_ENTRIES = 65536
-DEFAULT_MAX_MERGE_ENTRIES = 65536
-DEFAULT_MAX_OUTCOME_ENTRIES = 2048
+#: Layer name -> LRU capacity.  One fixed table: every domain's cache
+#: uses these sizes, and snapshots record them in their header.
+CAPACITIES: Dict[str, int] = {
+    "paths": 8192,
+    "conflicts": 4096,
+    "sizes": 65536,
+    "merge": 65536,
+    "outcomes": 2048,
+}
 #: Per-edge labeled path lists kept (``SynthesisProblem``).
 EDGE_ENTRIES = 4096
-
-#: Layer name -> library default capacity.
-DEFAULT_CAPACITIES: Dict[str, int] = {
-    "paths": DEFAULT_MAX_PATH_ENTRIES,
-    "conflicts": DEFAULT_MAX_CONFLICT_ENTRIES,
-    "sizes": DEFAULT_MAX_SIZE_ENTRIES,
-    "merge": DEFAULT_MAX_MERGE_ENTRIES,
-    "outcomes": DEFAULT_MAX_OUTCOME_ENTRIES,
-}
-
-
-def resolve_capacities(
-    overrides: Optional[Dict[str, Optional[int]]] = None,
-) -> Dict[str, int]:
-    """Effective per-layer LRU capacities: the explicit per-domain value
-    where one is given, else the library default.  Unknown override keys
-    are rejected loudly — a typo here would otherwise silently fall back
-    to the default.
-    """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(DEFAULT_CAPACITIES)
-    if unknown:
-        raise ValueError(
-            f"unknown cache layers {sorted(unknown)}; "
-            f"valid: {sorted(DEFAULT_CAPACITIES)}"
-        )
-    return {
-        layer: default if overrides.get(layer) is None
-        else int(overrides[layer])
-        for layer, default in DEFAULT_CAPACITIES.items()
-    }
 
 
 class LruCache:
@@ -214,48 +187,27 @@ class LruCache:
 
 
 class PathCache:
-    """All cross-query caches of one domain (see module docstring).
-
-    Capacities default to the module constants; pass explicit values (or
-    ``None`` for "use the default") per layer — see
-    :func:`resolve_capacities`.
-    """
+    """All cross-query caches of one domain (see module docstring), each
+    layer sized by :data:`CAPACITIES`."""
 
     #: Layers persisted by :func:`write_snapshot` — the grammar-pure ones.
     PERSISTED_LAYERS = ("paths", "conflicts", "sizes", "merge")
 
-    def __init__(
-        self,
-        graph: GrammarGraph,
-        *,
-        max_path_entries: Optional[int] = None,
-        max_conflict_entries: Optional[int] = None,
-        max_size_entries: Optional[int] = None,
-        max_merge_entries: Optional[int] = None,
-        max_outcome_entries: Optional[int] = None,
-    ):
+    def __init__(self, graph: GrammarGraph):
         self.graph = graph
         self.interner = interner_for(graph)
-        self.capacities = resolve_capacities(
-            {
-                "paths": max_path_entries,
-                "conflicts": max_conflict_entries,
-                "sizes": max_size_entries,
-                "merge": max_merge_entries,
-                "outcomes": max_outcome_entries,
-            }
-        )
-        self.paths = LruCache(self.capacities["paths"])
-        self.conflicts = LruCache(self.capacities["conflicts"])
-        self.sizes = LruCache(self.capacities["sizes"])
-        self.merge = LruCache(self.capacities["merge"])
-        self.outcomes = LruCache(self.capacities["outcomes"])
+        self.capacities = dict(CAPACITIES)
+        self.paths = LruCache(CAPACITIES["paths"])
+        self.conflicts = LruCache(CAPACITIES["conflicts"])
+        self.sizes = LruCache(CAPACITIES["sizes"])
+        self.merge = LruCache(CAPACITIES["merge"])
+        self.outcomes = LruCache(CAPACITIES["outcomes"])
         #: Per-edge labeled candidate paths (``SynthesisProblem``).
         self.edges = LruCache(EDGE_ENTRIES)
         self.invalidations = 0
 
     def layer(self, name: str) -> LruCache:
-        if name not in DEFAULT_CAPACITIES:
+        if name not in CAPACITIES:
             raise ValueError(f"unknown cache layer {name!r}")
         return getattr(self, name)
 

@@ -7,7 +7,7 @@ grammar + dictionary files of Desai et al.'s NLPro systems:
 
 ``pack.toml``
     The manifest: pack identity plus knobs (literal slots, pruning policy,
-    matcher tunables, path-search limits, cache capacities).
+    matcher tunables, path-search limits).
 ``grammar.bnf``
     The target DSL grammar, in the dialect of :mod:`repro.grammar.bnf`.
 ``apis.toml``
@@ -83,7 +83,6 @@ _SCHEMA: Dict[str, Optional[Tuple[str, ...]]] = {
         "max_paths_per_edge",
         "max_extra_len",
     ),
-    "cache": ("paths", "conflicts", "sizes", "merge", "outcomes"),
 }
 
 #: Default companion file names, overridable per manifest section.
@@ -131,7 +130,6 @@ class PackSpec:
     pruning: Dict[str, Any] = field(default_factory=dict)
     matching: Dict[str, Any] = field(default_factory=dict)
     limits: Dict[str, int] = field(default_factory=dict)
-    cache_capacities: Dict[str, int] = field(default_factory=dict)
     examples: List[QueryCase] = field(default_factory=list)
     content_hash: str = ""
     files: Tuple[str, ...] = ()
@@ -187,7 +185,6 @@ class PackSpec:
                 PathSearchLimits(**self.limits) if self.limits else None
             ),
             generic_apis=self.generic_apis or None,
-            cache_capacities=self.cache_capacities or None,
             start=self.grammar_start,
             provenance=self.provenance(),
         )
@@ -605,25 +602,20 @@ class _Reader:
             spec.matching[key] = (
                 int(value) if key == "max_candidates" else float(value)
             )
-        # A cache layer needs room for one entry (LruCache rejects 0);
-        # a path-search limit of 0 is a meaningful bound.
-        for table_name, target, least, kind in (
-            ("limits", spec.limits, 0, "non-negative"),
-            ("cache", spec.cache_capacities, 1, "positive"),
-        ):
-            for key, value in (data.get(table_name) or {}).items():
-                if key not in _SCHEMA[table_name]:
-                    continue
-                if not isinstance(value, int) or isinstance(value, bool) \
-                        or value < least:
-                    self.issue(
-                        MANIFEST_NAME,
-                        lines.get((table_name, key)),
-                        f"{table_name} {key} must be a {kind} "
-                        f"integer, got {value!r}",
-                    )
-                    continue
-                target[key] = value
+        # A path-search limit of 0 is a meaningful bound.
+        for key, value in (data.get("limits") or {}).items():
+            if key not in _SCHEMA["limits"]:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
+                self.issue(
+                    MANIFEST_NAME,
+                    lines.get(("limits", key)),
+                    f"limits {key} must be a non-negative "
+                    f"integer, got {value!r}",
+                )
+                continue
+            spec.limits[key] = value
 
     # -- examples ------------------------------------------------------
 

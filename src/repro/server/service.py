@@ -87,9 +87,6 @@ class ServerConfig:
 
     #: Domain names to keep resident (() = every registered domain).
     domains: Tuple[str, ...] = ()
-    #: Default domain when a request names none (must be in ``domains``;
-    #: None = the first configured name).
-    default_domain: Optional[str] = None
     #: Default synthesis engine ("dggt" / "hisyn").
     engine: str = "dggt"
     #: Snapshot directory preloaded at startup (None: the library default,
@@ -165,11 +162,8 @@ class SynthesisService:
     or pipes.
     """
 
-    def __init__(self, config: Optional[ServerConfig] = None, **kwargs: Any):
-        if config is None:
-            config = ServerConfig(**kwargs)
-        elif kwargs:
-            raise TypeError("pass either a ServerConfig or keyword fields")
+    def __init__(self, config: Optional[ServerConfig] = None):
+        config = config or ServerConfig()
         self.config = config
         self._started = time.monotonic()
         self._lock = threading.Lock()
@@ -212,17 +206,8 @@ class SynthesisService:
                 domain, engine=config.engine
             )
             self._domains[name] = state
-        default = (
-            config.default_domain
-            if config.default_domain is not None
-            else next(iter(self._domains))
-        )
-        if default.lower() not in self._domains:
-            raise DomainError(
-                f"default domain {default!r} is not among the served "
-                f"domains {sorted(self._domains)}"
-            )
-        self.default_domain = default.lower()
+        #: Domain for requests that name none: the first served domain.
+        self.default_domain = next(iter(self._domains))
         self._scheduler = RequestScheduler(
             max_inflight=config.max_inflight,
             queue_depth=config.queue_depth,

@@ -63,11 +63,6 @@ class Domain:
     #: noun governed by an ordinal is a token, a noun in a locative PP is a
     #: scope).  Must reorder, never add or drop.
     candidate_reranker: Optional[object] = None
-    #: Per-domain LRU capacity overrides for the PathCache layers, keyed
-    #: "paths"/"conflicts"/"sizes"/"merge"/"outcomes".  Missing layers use
-    #: the library defaults (see
-    #: :func:`repro.grammar.path_cache.resolve_capacities`).
-    cache_capacities: Mapping[str, int] = field(default_factory=dict)
     #: Where this domain came from.  Built-in Python domains leave it
     #: empty; pack-loaded domains record ``pack`` / ``version`` /
     #: ``source`` (the pack directory) / ``content_hash``.  Surfaced by
@@ -104,7 +99,6 @@ class Domain:
         path_limits: Optional[PathSearchLimits] = None,
         generic_apis: Optional[Iterable[str]] = None,
         candidate_reranker=None,
-        cache_capacities: Optional[Mapping[str, int]] = None,
         start: Optional[str] = None,
         provenance: Optional[Mapping[str, str]] = None,
     ) -> "Domain":
@@ -145,7 +139,6 @@ class Domain:
             description=description,
             path_limits=path_limits or PathSearchLimits(),
             candidate_reranker=candidate_reranker,
-            cache_capacities=dict(cache_capacities or {}),
             provenance=dict(provenance or {}),
         )
 
@@ -169,15 +162,7 @@ class Domain:
         """
         cache = self._path_cache
         if cache is None or cache.graph is not self.graph:
-            caps = self.cache_capacities or {}
-            cache = PathCache(
-                self.graph,
-                max_path_entries=caps.get("paths"),
-                max_conflict_entries=caps.get("conflicts"),
-                max_size_entries=caps.get("sizes"),
-                max_merge_entries=caps.get("merge"),
-                max_outcome_entries=caps.get("outcomes"),
-            )
+            cache = PathCache(self.graph)
             self._path_cache = cache
         return cache
 
@@ -218,35 +203,23 @@ class Domain:
         target = self.cache_file(cache_dir)
         return write_snapshot(self.path_cache, target, self.name)
 
-    def load_cache(
-        self,
-        cache_dir: Union[str, Path, None] = None,
-        *,
-        strict: bool = False,
-    ) -> bool:
+    def load_cache(self, cache_dir: Union[str, Path, None] = None) -> bool:
         """Preload the PathCache from this domain's snapshot, if present.
 
         Returns True when a snapshot was loaded.  A missing, stale
         (grammar-hash mismatch), or corrupt snapshot returns False — cold
-        start is always a safe fallback — unless ``strict`` is set, in
-        which case those failures raise
-        :class:`~repro.errors.CacheSnapshotError` (missing files included).
+        start is always a safe fallback.  Call
+        :func:`~repro.grammar.path_cache.load_snapshot` directly to see
+        the :class:`~repro.errors.CacheSnapshotError` instead.
         """
         target = self.cache_file(cache_dir)
         try:
             load_snapshot(self.path_cache, target, domain_name=self.name)
         except CacheSnapshotError:
-            if strict:
-                raise
             return False
         return True
 
-    def reload_cache(
-        self,
-        cache_dir: Union[str, Path, None] = None,
-        *,
-        strict: bool = False,
-    ) -> bool:
+    def reload_cache(self, cache_dir: Union[str, Path, None] = None) -> bool:
         """Hot-swap the PathCache from a freshly read snapshot.
 
         Unlike :meth:`load_cache` (which merges into the live cache), this
@@ -255,25 +228,14 @@ class Domain:
         regenerated snapshot exactly, while requests already holding the
         old cache object finish against it undisturbed.  On a missing,
         stale, or corrupt snapshot the live cache is left untouched and
-        False is returned (or :class:`~repro.errors.CacheSnapshotError`
-        is raised under ``strict``).  Cumulative hit/miss counters and
-        the (non-persisted) outcome layer restart empty.
+        False is returned.  Cumulative hit/miss counters and the
+        (non-persisted) outcome layer restart empty.
         """
-        caps = self.cache_capacities or {}
-        fresh = PathCache(
-            self.graph,
-            max_path_entries=caps.get("paths"),
-            max_conflict_entries=caps.get("conflicts"),
-            max_size_entries=caps.get("sizes"),
-            max_merge_entries=caps.get("merge"),
-            max_outcome_entries=caps.get("outcomes"),
-        )
+        fresh = PathCache(self.graph)
         target = self.cache_file(cache_dir)
         try:
             load_snapshot(fresh, target, domain_name=self.name)
         except CacheSnapshotError:
-            if strict:
-                raise
             return False
         self._path_cache = fresh
         return True
@@ -295,10 +257,10 @@ class Domain:
         ]
 
     def stats(self) -> Dict[str, object]:
-        """Summary used by Table I, plus the configured cache capacities
-        (so a deployment can verify its per-domain ``cache_capacities``
-        took effect) and provenance (grammar hash; pack metadata when the
-        domain was loaded from a pack)."""
+        """Summary used by Table I, plus the PathCache layer capacities
+        (the fixed :data:`~repro.grammar.path_cache.CAPACITIES` table)
+        and provenance (grammar hash; pack metadata when the domain was
+        loaded from a pack)."""
         out: Dict[str, object] = {
             "apis": len(self.document),
             "nonterminals": len(self.grammar.nonterminals),

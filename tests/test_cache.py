@@ -111,7 +111,8 @@ class TestPathCacheLayers:
 
     def test_path_layer_eviction(self):
         domain = fresh_textediting()
-        cache = PathCache(domain.graph, max_path_entries=2)
+        cache = PathCache(domain.graph)
+        cache.paths = LruCache(2)
         apis = _api_node_ids(domain)
         pairs = [(apis[0], apis[1]), (apis[1], apis[2]), (apis[2], apis[3])]
         results = [cache.find_paths(s, d) for s, d in pairs]

@@ -1,4 +1,4 @@
-"""Persistent PathCache snapshots and per-domain capacity configuration.
+"""Persistent PathCache snapshots and the fixed layer capacities.
 
 Snapshots must be an invisible optimization: loading one changes only the
 clock (and the hit counters), never a codelet.  Staleness is the other
@@ -25,11 +25,11 @@ from repro.domains.textediting import build_domain as build_textediting
 from repro.domains.textediting.queries import TEXTEDITING_QUERIES
 from repro.errors import DomainError
 from repro.grammar.path_cache import (
-    DEFAULT_CAPACITIES,
+    CAPACITIES,
     SNAPSHOT_FORMAT_VERSION,
+    LruCache,
     load_snapshot,
     read_snapshot,
-    resolve_capacities,
     snapshot_path,
     write_snapshot,
 )
@@ -135,7 +135,7 @@ class TestSnapshotRoundTrip:
         domain = build_textediting(fresh=True)
         assert domain.load_cache(tmp_path) is False
         with pytest.raises(CacheSnapshotError):
-            domain.load_cache(tmp_path, strict=True)
+            load_snapshot(domain.path_cache, domain.cache_file(tmp_path))
 
     def test_no_stray_tmp_files_after_save(self, tmp_path):
         domain = build_textediting(fresh=True)
@@ -211,32 +211,36 @@ class TestSnapshotRejection:
         path.write_bytes(b"garbage")
         assert domain.load_cache(tmp_path) is False
         with pytest.raises(CacheSnapshotError):
-            domain.load_cache(tmp_path, strict=True)
+            load_snapshot(domain.path_cache, path)
 
 
 # ---------------------------------------------------------------------------
-# Capacities: Domain.create kwargs + stats reporting
+# Capacities: one fixed table, reported by stats
 # ---------------------------------------------------------------------------
 
 
 class TestCapacityConfiguration:
     def test_domain_create_capacities(self):
-        domain = _mini_domain(BNF, cache_capacities={"paths": 7, "sizes": 9})
-        caps = domain.path_cache.capacities
-        assert caps["paths"] == 7
-        assert caps["sizes"] == 9
-        assert domain.path_cache.paths.maxsize == 7
-        assert caps["merge"] == DEFAULT_CAPACITIES["merge"]
+        # No per-domain sizing: every layer takes the fixed table.
+        with pytest.raises(TypeError):
+            _mini_domain(BNF, cache_capacities={"paths": 7})
+        cache = _mini_domain(BNF).path_cache
+        assert cache.capacities == CAPACITIES
+        for layer, capacity in CAPACITIES.items():
+            assert cache.layer(layer).maxsize == capacity
 
     def test_unknown_layer_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache layers"):
-            resolve_capacities({"pathz": 3})
+        with pytest.raises(ValueError, match="unknown cache layer"):
+            _mini_domain(BNF).path_cache.layer("pathz")
 
     def test_stats_reports_capacities(self):
-        domain = _mini_domain(BNF, cache_capacities={"outcomes": 11})
-        stats = domain.stats()
-        assert stats["cache_capacity_outcomes"] == 11
-        assert "cache_capacity_paths" in stats
+        stats = _mini_domain(BNF).stats()
+        assert {
+            layer: stats[f"cache_capacity_{layer}"] for layer in CAPACITIES
+        } == {
+            "paths": 8192, "conflicts": 4096, "sizes": 65536,
+            "merge": 65536, "outcomes": 2048,
+        }
 
     def test_import_respects_smaller_capacity(self, tmp_path):
         domain = build_textediting(fresh=True)
@@ -246,7 +250,7 @@ class TestCapacityConfiguration:
         path = domain.save_cache(tmp_path)
 
         small = build_textediting(fresh=True)
-        small.cache_capacities = {"paths": 4}
+        small.path_cache.paths = LruCache(4)
         assert small.load_cache(tmp_path) is True
         assert len(small.path_cache.paths) == 4
         assert path.exists()

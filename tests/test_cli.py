@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_arg_parser, main
+from repro.cli import build_arg_parser, domains_main, main
 from repro.synthesis.explain import explain_problem, explain_query
 from repro.synthesis.pipeline import Synthesizer
 from repro.synthesis.problem import build_problem
@@ -75,7 +75,7 @@ class TestMain:
         assert "expired in stage 'parse'" in capsys.readouterr().err
 
     def test_list_domains(self, capsys):
-        code = main(["--list-domains"])
+        code = domains_main([])
         out = capsys.readouterr().out
         assert code == 0
         assert "textediting" in out and "astmatcher" in out

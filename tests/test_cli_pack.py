@@ -113,11 +113,12 @@ class TestDomainsListing:
         assert "pack" not in listing["textediting"]
         assert len(listing["textediting"]["grammar_hash"]) == 64
 
-    def test_list_domains_flag_matches(self, capsys):
-        code = main(["--list-domains"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "spreadsheet" in out and "pack stringxform" in out
+    def test_list_domains_flag_refused(self, capsys):
+        # `repro domains` is the one listing; the old flag is unknown.
+        with pytest.raises(SystemExit) as info:
+            main(["--list-domains"])
+        assert info.value.code == 2
+        assert "--list-domains" in capsys.readouterr().err
 
 
 class TestPackDirFlag:

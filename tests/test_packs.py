@@ -162,16 +162,15 @@ class TestValidationIssues:
         rendered = self._issues(demo)
         assert any("examples.jsonl:2:" in issue for issue in rendered), rendered
 
-    def test_cache_capacity_must_be_positive(self, demo):
+    def test_cache_table_refused(self, demo):
         manifest = demo / MANIFEST_NAME
         text = manifest.read_text()
         n_lines = len(text.splitlines())
-        # LruCache needs room for one entry: 0 would fail every query.
-        manifest.write_text(text + "\n[cache]\npaths = 0\n")
+        # PathCache capacities are one fixed table, not a pack setting.
+        manifest.write_text(text + "\n[cache]\npaths = 4096\n")
         rendered = self._issues(demo)
         assert rendered == [
-            f"{MANIFEST_NAME}:{n_lines + 3}: cache paths must be a "
-            "positive integer, got 0"
+            f"{MANIFEST_NAME}:{n_lines + 2}: unknown manifest table [cache]"
         ], rendered
 
     def test_limits_zero_stays_valid(self, demo):

@@ -120,12 +120,6 @@ class TestService:
         with pytest.raises(ReproError, match="nope"):
             SynthesisService(ServerConfig(domains=("nope",)))
 
-    def test_bad_default_domain_fails_fast(self):
-        with pytest.raises(ReproError, match="default domain"):
-            SynthesisService(ServerConfig(
-                domains=("textediting",), default_domain="astmatcher",
-            ))
-
     def test_config_validation(self):
         with pytest.raises(ReproError):
             ServerConfig(engine="carrier-pigeon")
