@@ -639,15 +639,9 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="bounded admission queue: requests beyond --max-inflight "
         "wait (up to their deadline) for a slot instead of being shed; "
-        "'overloaded' only once N are already waiting (default: 0 — "
-        "shed immediately, the pre-queueing behaviour)",
-    )
-    parser.add_argument(
-        "--adaptive-queue",
-        action="store_true",
-        help="adaptive admission: resize the effective queue from the "
-        "live EWMA service time (against --timeout) and let idle slot "
-        "budgets flow to the hot domain (requires --queue-depth >= 1)",
+        "'overloaded' once N are already waiting, or fewer when the "
+        "observed service time says a longer queue would outlast "
+        "--timeout (default: 0 — shed immediately)",
     )
     parser.add_argument(
         "--domain-budget",
@@ -655,8 +649,8 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME=K",
         help="cap one domain at K concurrently executing requests "
-        "(repeatable); with --queue-depth > 0, unnamed domains default "
-        "to a fair share of --max-inflight",
+        "(repeatable); unnamed domains may use every slot until another "
+        "domain has a request queued, then a fair share of --max-inflight",
     )
     parser.add_argument(
         "--timeout",
@@ -737,7 +731,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             cache_dir=args.cache_dir,
             max_inflight=args.max_inflight,
             queue_depth=args.queue_depth,
-            adaptive_queue=args.adaptive_queue,
             domain_budgets=domain_budgets,
             default_timeout=args.timeout,
             max_timeout=args.max_timeout,

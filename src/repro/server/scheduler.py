@@ -18,12 +18,15 @@ every admission decision the service makes:
   request never burns a worker slot.  The wait that was spent in the
   queue is deducted from the budget handed to the engines, so the
   request's deadline covers queueing *and* synthesis.
-* **per-domain concurrency budgets** — each domain may use at most
-  ``budget[domain]`` of the ``max_inflight`` slots, so one hot domain
-  cannot starve the rest.  Budgets default to a fair share
-  (``ceil(max_inflight / n_domains)``) when queueing is enabled and to
-  ``max_inflight`` (no constraint beyond the global bound) in the
-  legacy ``queue_depth=0`` mode, preserving its exact semantics.
+* **per-domain concurrency budgets** — each domain's slot budget
+  defaults to a fair share, ``ceil(max_inflight / n_domains)``, and is
+  *work-conserving*: while no other domain has a waiter, a domain may
+  use every slot; the moment another domain queues, the fair-share
+  fence is restored and the hot domain drains back to it.  With
+  ``queue_depth=0`` nobody ever waits, so every domain may use all
+  ``max_inflight`` slots.  Budgets set explicitly via
+  ``domain_budgets`` are hard fences and are never raised, so one hot
+  domain cannot starve the rest.
 * **priority classes** — every request carries a priority from
   :data:`PRIORITIES` (``interactive`` > ``batch``; the default is
   ``interactive``, which is also the exact pre-priority behaviour).
@@ -35,20 +38,14 @@ every admission decision the service makes:
   retry hint) instead of being shed itself — batch traffic can never
   make the server turn interactive traffic away while batch work is
   still waiting.
-* **adaptive tuning** (``adaptive=True``) — the scheduler resizes its
-  own effective queue using the live EWMA service time: a queue slot is
-  only useful if the wait it implies fits inside the target deadline,
-  so the effective capacity is
+* **deadline-sized queue** — the live queue bound follows the EWMA
+  service time: a queue slot is only useful if the wait it implies fits
+  inside the target deadline, so the effective capacity is
   ``clamp(max_inflight * (target_deadline / ewma - 1), 1, queue_depth)``
   (the capacity-planning rule of thumb from docs/serving.md, applied
   continuously).  Fast service ⇒ the full configured queue; slow
   service ⇒ shed early instead of queueing requests that are doomed to
-  expire.  Adaptive mode also makes implicit (fair-share) domain
-  budgets *work-conserving*: while no other domain has a waiter, a
-  domain may use every slot; the moment another domain queues, the
-  fair-share fence is restored and the hot domain drains back to it.
-  Budgets set explicitly via ``domain_budgets`` are hard fences and are
-  never raised.
+  expire.  ``queue_depth=0`` stays 0.
 
 Dispatch order is FIFO with eligibility inside each priority class: the
 oldest waiter whose domain is under budget runs first; a waiter blocked
@@ -97,7 +94,7 @@ DEFAULT_SERVICE_SECONDS = 0.1
 #: EWMA smoothing for the observed per-request service time.
 _EWMA_ALPHA = 0.2
 
-#: Fallback deadline (seconds) for adaptive queue sizing when the
+#: Fallback deadline (seconds) the queue is sized against when the
 #: caller does not provide one (matches ServerConfig.default_timeout).
 DEFAULT_TARGET_DEADLINE_SECONDS = 20.0
 
@@ -111,6 +108,16 @@ _GRANTED = "granted"
 _EXPIRED = "expired"
 _DRAINING = "draining"
 _EVICTED = "evicted"
+
+#: Admission events counted per priority class, in ``/stats`` order.
+_EVENTS: Tuple[str, ...] = (
+    "admitted",  # granted a slot (immediately or queued)
+    "queued",    # of which waited in the queue first
+    "shed",      # rejected: queue full / queueing disabled
+    "expired",   # deadline passed while waiting
+    "evicted",   # batch waiter displaced by interactive
+    "drained",   # rejected or woken by shutdown
+)
 
 
 class QueueFull(ReproError):
@@ -162,11 +169,10 @@ class RequestScheduler:
 
     Thread-safe; every public method may be called from any transport
     thread.  ``domain_budgets`` maps domain name -> slot budget; domains
-    not listed get the default described in the module docstring.
-    ``adaptive`` turns on EWMA-driven queue sizing and work-conserving
-    implicit budgets; ``target_deadline_seconds`` is the deadline the
-    adaptive queue sizes against (typically the service's default
-    request timeout).
+    not listed get the work-conserving fair share described in the
+    module docstring.  ``target_deadline_seconds`` is the deadline the
+    effective queue capacity is sized against (typically the service's
+    default request timeout).
     """
 
     def __init__(
@@ -176,15 +182,12 @@ class RequestScheduler:
         queue_depth: int = 0,
         domains: Tuple[str, ...] = (),
         domain_budgets: Optional[Mapping[str, int]] = None,
-        adaptive: bool = False,
         target_deadline_seconds: Optional[float] = None,
     ):
         if max_inflight < 1:
             raise ReproError("max_inflight must be >= 1")
         if queue_depth < 0:
             raise ReproError("queue_depth must be >= 0")
-        if adaptive and queue_depth < 1:
-            raise ReproError("adaptive tuning requires queue_depth >= 1")
         if not domains:
             raise ReproError("the scheduler needs at least one domain")
         if target_deadline_seconds is not None and target_deadline_seconds <= 0:
@@ -206,19 +209,14 @@ class RequestScheduler:
 
         self.max_inflight = max_inflight
         self.queue_depth = queue_depth
-        self.adaptive = adaptive
         self._target_deadline_seconds = (
             target_deadline_seconds
             if target_deadline_seconds is not None
             else DEFAULT_TARGET_DEADLINE_SECONDS
         )
-        if queue_depth > 0:
-            default_budget = max(1, math.ceil(max_inflight / len(domains)))
-        else:
-            # Legacy mode: the global bound is the only constraint.
-            default_budget = max_inflight
-        #: Domains with an operator-set budget: hard fences that adaptive
-        #: mode never raises.
+        default_budget = max(1, math.ceil(max_inflight / len(domains)))
+        #: Domains with an operator-set budget: hard fences that are
+        #: never raised.
         self._explicit_budgets = frozenset(budgets)
         self.budgets: Dict[str, int] = {
             name: min(max_inflight, budgets.get(name, default_budget))
@@ -231,25 +229,11 @@ class RequestScheduler:
         self._waiters: Deque[_Waiter] = deque()
         self._draining = False
         self._service_ewma_seconds: Optional[float] = None
-        self._counters: Dict[str, int] = {
-            "admitted": 0,       # granted a slot (immediately or queued)
-            "queued": 0,         # of which waited in the queue first
-            "completed": 0,      # slots released after dispatch
-            "shed": 0,           # rejected: queue full / queueing disabled
-            "expired": 0,        # deadline passed while waiting
-            "evicted": 0,        # batch waiter displaced by interactive
-            "drained": 0,        # rejected or woken by shutdown
-        }
+        #: Slots released after dispatch (a release carries no priority).
+        self._completed = 0
+        #: Admission events per priority class; ``snapshot()`` sums them.
         self._priority_counters: Dict[str, Dict[str, int]] = {
-            priority: {
-                "admitted": 0,
-                "queued": 0,
-                "shed": 0,
-                "expired": 0,
-                "evicted": 0,
-                "drained": 0,
-            }
-            for priority in PRIORITIES
+            priority: dict.fromkeys(_EVENTS, 0) for priority in PRIORITIES
         }
         self._queue_wait_total_ms = 0.0
 
@@ -286,7 +270,6 @@ class RequestScheduler:
         now = time.monotonic()
         with self._cond:
             if self._draining:
-                self._counters["drained"] += 1
                 self._priority_counters[priority]["drained"] += 1
                 raise SchedulerDraining(
                     "service is draining; retry against another replica"
@@ -302,7 +285,6 @@ class RequestScheduler:
                 if priority == PRIORITIES[0] and self._evict_batch_waiter():
                     pass  # a batch slot was freed for this request
                 else:
-                    self._counters["shed"] += 1
                     self._priority_counters[priority]["shed"] += 1
                     raise QueueFull(
                         self._shed_message(), self._retry_after_ms_locked()
@@ -314,7 +296,6 @@ class RequestScheduler:
                     remaining = waiter.deadline - time.monotonic()
                     if remaining <= 0:
                         waiter.state = _EXPIRED
-                        self._counters["expired"] += 1
                         self._priority_counters[priority]["expired"] += 1
                         break
                     self._cond.wait(timeout=remaining)
@@ -323,7 +304,6 @@ class RequestScheduler:
                     self._discard(waiter)
             waited = time.monotonic() - waiter.enqueued_at
             if waiter.state == _GRANTED:
-                self._counters["queued"] += 1
                 self._priority_counters[priority]["queued"] += 1
                 self._queue_wait_total_ms += waited * 1000.0
                 return Grant(domain, waited)
@@ -344,11 +324,11 @@ class RequestScheduler:
     ) -> None:
         """Return a granted slot.  ``service_seconds`` (dispatch wall
         time) feeds the EWMA behind the ``retry_after_ms`` hint and the
-        adaptive queue capacity."""
+        effective queue capacity."""
         with self._cond:
             self._inflight_total -= 1
             self._inflight[domain] -= 1
-            self._counters["completed"] += 1
+            self._completed += 1
             if service_seconds is not None and service_seconds >= 0:
                 if self._service_ewma_seconds is None:
                     self._service_ewma_seconds = service_seconds
@@ -367,26 +347,24 @@ class RequestScheduler:
         return sum(1 for w in self._waiters if w.state == _WAITING)
 
     def _effective_queue_capacity(self) -> int:
-        """The live queue bound.  Static ``queue_depth`` normally; under
-        ``adaptive`` it shrinks when the EWMA service time says queued
-        requests would blow the target deadline anyway (never below 1,
-        never above the configured depth)."""
-        if not self.adaptive:
-            return self.queue_depth
+        """The live queue bound: ``queue_depth``, shrunk when the EWMA
+        service time says queued requests would blow the target deadline
+        anyway (never above the configured depth, never below 1 unless
+        queueing is disabled)."""
         service = self._service_ewma_seconds
         if service is None or service <= 0:
             return self.queue_depth
         headroom = self._target_deadline_seconds / service - 1.0
         bound = int(self.max_inflight * headroom)
-        return max(1, min(self.queue_depth, bound))
+        return min(self.queue_depth, max(1, bound))
 
     def _effective_budget(self, domain: str) -> int:
         """The live slot budget for ``domain``.  Explicit budgets are
-        hard fences; under ``adaptive`` an implicit (fair-share) budget
-        is work-conserving — the whole server while nobody else waits,
-        the fair share the moment another domain queues."""
+        hard fences; an implicit (fair-share) budget is work-conserving
+        — the whole server while nobody else waits, the fair share the
+        moment another domain queues."""
         budget = self.budgets[domain]
-        if not self.adaptive or domain in self._explicit_budgets:
+        if domain in self._explicit_budgets:
             return budget
         for waiter in self._waiters:
             if waiter.state == _WAITING and waiter.domain != domain:
@@ -402,7 +380,6 @@ class RequestScheduler:
     def _admit(self, domain: str, priority: str) -> None:
         self._inflight_total += 1
         self._inflight[domain] += 1
-        self._counters["admitted"] += 1
         self._priority_counters[priority]["admitted"] += 1
 
     def _evict_batch_waiter(self) -> bool:
@@ -412,7 +389,6 @@ class RequestScheduler:
         for waiter in reversed(self._waiters):
             if waiter.state == _WAITING and waiter.priority != PRIORITIES[0]:
                 waiter.state = _EVICTED
-                self._counters["evicted"] += 1
                 self._priority_counters[waiter.priority]["evicted"] += 1
                 self._discard(waiter)
                 self._cond.notify_all()
@@ -430,7 +406,6 @@ class RequestScheduler:
         for waiter in self._waiters:
             if waiter.state == _WAITING and waiter.deadline <= now:
                 waiter.state = _EXPIRED
-                self._counters["expired"] += 1
                 self._priority_counters[waiter.priority]["expired"] += 1
         for priority in PRIORITIES:
             for waiter in self._waiters:
@@ -486,7 +461,6 @@ class RequestScheduler:
             for waiter in self._waiters:
                 if waiter.state == _WAITING:
                     waiter.state = _DRAINING
-                    self._counters["drained"] += 1
                     self._priority_counters[waiter.priority]["drained"] += 1
             self._waiters.clear()
             self._cond.notify_all()
@@ -536,20 +510,30 @@ class RequestScheduler:
                 if waiter.state == _WAITING:
                     queued_by_domain[waiter.domain] += 1
                     queued_by_priority[waiter.priority] += 1
-            served = self._counters["queued"]
+            totals = {
+                event: sum(c[event] for c in self._priority_counters.values())
+                for event in _EVENTS
+            }
+            served = totals["queued"]
             avg_wait = (
                 round(self._queue_wait_total_ms / served, 3) if served else 0.0
             )
+            # ``/stats`` lists ``completed`` right after ``queued``.
+            counters = {
+                "admitted": totals.pop("admitted"),
+                "queued": totals.pop("queued"),
+                "completed": self._completed,
+                **totals,
+            }
             return {
                 "queueing_enabled": self.queueing_enabled,
                 "queue_depth": sum(queued_by_domain.values()),
                 "queue_capacity": self.queue_depth,
                 "effective_queue_capacity": self._effective_queue_capacity(),
-                "adaptive": self.adaptive,
                 "max_inflight": self.max_inflight,
                 "inflight": self._inflight_total,
                 "avg_queue_wait_ms": avg_wait,
-                "counters": dict(self._counters),
+                "counters": counters,
                 "priorities": {
                     name: {
                         "queued": queued_by_priority[name],

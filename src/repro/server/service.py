@@ -11,7 +11,7 @@ concerns a long-running deployment needs:
   :class:`~repro.server.scheduler.RequestScheduler`: at most
   ``max_inflight`` requests execute at once, excess requests wait in a
   bounded queue (``queue_depth``; 0 = shed immediately, the
-  pre-scheduler behaviour) up to their own deadline, per-domain
+  pre-scheduler behaviour) up to their own deadline, explicit per-domain
   concurrency budgets keep one hot domain from starving the rest, and
   requests shed at a full queue carry a ``retry_after_ms`` hint;
 * **hot snapshot reload** — :meth:`reload_snapshots` (wired to SIGHUP
@@ -98,17 +98,13 @@ class ServerConfig:
     #: default) disables queueing: at capacity, shed immediately with
     #: ``overloaded`` — exactly the pre-scheduler semantics.
     queue_depth: int = 0
-    #: Adaptive admission tuning: the scheduler resizes its effective
-    #: queue from the live EWMA service time (against
-    #: ``default_timeout``) and makes implicit domain budgets
-    #: work-conserving.  Requires ``queue_depth >= 1``.
-    adaptive_queue: bool = False
     #: Per-domain concurrency budgets as (name, slots) pairs (a dict is
-    #: accepted and normalized).  Domains not listed get a fair share of
-    #: ``max_inflight`` when queueing is enabled, or ``max_inflight``
-    #: (no extra constraint) in the legacy ``queue_depth=0`` mode.
+    #: accepted and normalized): hard fences.  Domains not listed get a
+    #: work-conserving fair share of ``max_inflight`` — every slot while
+    #: no other domain has a request waiting.
     domain_budgets: Tuple[Tuple[str, int], ...] = ()
-    #: Per-request budget when the request carries none (seconds).
+    #: Per-request budget when the request carries none (seconds); also
+    #: the deadline the scheduler sizes its effective queue against.
     default_timeout: float = 20.0
     #: Hard ceiling a request's own ``timeout`` is clamped to.
     max_timeout: float = 120.0
@@ -128,8 +124,6 @@ class ServerConfig:
             raise ReproError("max_inflight must be >= 1")
         if self.queue_depth < 0:
             raise ReproError("queue_depth must be >= 0")
-        if self.adaptive_queue and self.queue_depth < 1:
-            raise ReproError("adaptive_queue requires queue_depth >= 1")
         for name, slots in self.domain_budgets:
             if not isinstance(slots, int) or isinstance(slots, bool) \
                     or slots < 1:
@@ -137,8 +131,13 @@ class ServerConfig:
                     f"domain budget for {name!r} must be a positive "
                     f"integer, got {slots!r}"
                 )
-        if self.default_timeout < 0 or self.max_timeout <= 0:
-            raise ReproError("timeouts must be non-negative")
+        if self.default_timeout <= 0:
+            raise ReproError(
+                "the default timeout must be positive, got "
+                f"{self.default_timeout!r} seconds"
+            )
+        if self.max_timeout <= 0:
+            raise ReproError("the maximum timeout must be positive")
 
 
 @dataclass
@@ -215,7 +214,6 @@ class SynthesisService:
             domain_budgets={
                 name.lower(): slots for name, slots in config.domain_budgets
             },
-            adaptive=config.adaptive_queue,
             target_deadline_seconds=config.default_timeout,
         )
         # Multi-worker serving: set via attach_worker_board() by the

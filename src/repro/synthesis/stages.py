@@ -472,10 +472,10 @@ class StageLatencyAggregator:
 
     Every served request's trace is observed; ``snapshot()`` renders the
     per-stage count / mean / p50 / p99 section of ``GET /stats`` that
-    capacity planning and the scheduler's future adaptive tuning read
-    (docs/architecture.md).  Percentiles come from a bounded window of
-    the most recent ``window`` samples per stage, so a long-lived server
-    reports current behaviour, not its lifetime average.
+    capacity planning reads (docs/architecture.md).  Percentiles come
+    from a bounded window of the most recent ``window`` samples per
+    stage, so a long-lived server reports current behaviour, not its
+    lifetime average.
     """
 
     def __init__(self, window: int = 2048):

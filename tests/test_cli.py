@@ -106,6 +106,22 @@ class TestMain:
         assert err.startswith("usage: repro serve")
         assert f"unrecognized arguments: {' '.join(flags)}" in err
 
+    def test_serve_has_no_adaptive_queue_flag(self, capsys):
+        # The deadline-sized queue and work-conserving budgets are the
+        # scheduler's only admission policy.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--stdio", "--adaptive-queue"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --adaptive-queue" in (
+            capsys.readouterr().err
+        )
+
+    def test_serve_zero_timeout_is_a_usage_error(self, capsys):
+        assert main(["serve", "--stdio", "--timeout", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the default timeout must be positive, got 0.0 seconds\n"
+        )
+
     def test_unsynthesizable_query(self, capsys):
         assert main(["zebra giraffe pumpkin"]) == 1
 

@@ -70,11 +70,6 @@ class TestConstruction:
         with pytest.raises(ReproError, match="positive integer"):
             make(domain_budgets={"textediting": bad})
 
-    def test_legacy_mode_budget_defaults_to_max_inflight(self):
-        sched = make(max_inflight=8)
-        assert sched.budgets == {"textediting": 8, "astmatcher": 8}
-        assert not sched.queueing_enabled
-
     def test_queueing_mode_budget_defaults_to_fair_share(self):
         sched = RequestScheduler(
             max_inflight=4, queue_depth=8, domains=("a", "b", "c")
@@ -93,7 +88,7 @@ class TestConstruction:
 
 
 # ----------------------------------------------------------------------
-# Legacy mode (queue_depth=0): immediate shed, today's exact semantics
+# No queue (queue_depth=0, the default): immediate shed at capacity
 # ----------------------------------------------------------------------
 
 
@@ -105,6 +100,20 @@ class TestLegacyMode:
         assert sched.inflight_total == 1
         sched.release("textediting")
         assert sched.inflight_total == 0
+
+    def test_one_domain_may_take_every_slot_without_queueing(self):
+        sched = make(max_inflight=8)
+        assert not sched.queueing_enabled
+        for _ in range(8):
+            assert sched.acquire("textediting", 1.0) == Grant(
+                "textediting", 0.0
+            )
+        with pytest.raises(QueueFull, match="at capacity"):
+            sched.acquire("textediting", 1.0)
+        domain = sched.snapshot()["domains"]["textediting"]
+        assert domain["budget"] == 4  # the fair share of 8 over 2
+        assert domain["effective_budget"] == 8
+        assert domain["inflight"] == 8
 
     def test_shed_at_capacity_with_legacy_message(self):
         sched = make(max_inflight=1)
@@ -312,7 +321,7 @@ class TestSnapshot:
             "admitted", "queued", "completed", "shed", "expired",
             "evicted", "drained",
         }
-        assert snap["adaptive"] is False
+        assert "adaptive" not in snap
         assert snap["effective_queue_capacity"] == 3
         assert set(snap["priorities"]) == set(PRIORITIES)
         for section in snap["priorities"].values():
@@ -324,6 +333,31 @@ class TestSnapshot:
         assert set(snap["domains"]) == set(DOMAINS)
         sched.release("textediting")
         assert sched.snapshot()["counters"]["completed"] == 1
+
+    def test_counters_are_the_sum_over_priorities(self):
+        sched = make(max_inflight=1, queue_depth=1)
+        sched.acquire("textediting", 5.0, "batch")
+        thread, box = acquire_in_thread(sched, "textediting", 5.0)
+        assert wait_until(lambda: sched.queued == 1)
+        with pytest.raises(QueueFull):
+            sched.acquire("astmatcher", 5.0, "batch")
+        sched.release("textediting")
+        thread.join(timeout=5.0)
+        assert "grant" in box
+        sched.release("textediting")
+        snap = sched.snapshot()
+        assert list(snap["counters"].items()) == [
+            ("admitted", 2), ("queued", 1), ("completed", 2), ("shed", 1),
+            ("expired", 0), ("evicted", 0), ("drained", 0),
+        ]
+        assert snap["priorities"]["interactive"]["counters"] == {
+            "admitted": 1, "queued": 1, "shed": 0, "expired": 0,
+            "evicted": 0, "drained": 0,
+        }
+        assert snap["priorities"]["batch"]["counters"] == {
+            "admitted": 1, "queued": 0, "shed": 1, "expired": 0,
+            "evicted": 0, "drained": 0,
+        }
 
     def test_avg_queue_wait_recorded(self):
         sched = make(max_inflight=1, queue_depth=2)
@@ -537,18 +571,14 @@ class TestDrainWithPriorityQueue:
 
 
 # ----------------------------------------------------------------------
-# Adaptive tuning
+# Adaptive admission: deadline-sized queue, work-conserving budgets
 # ----------------------------------------------------------------------
 
 
 class TestAdaptive:
-    def test_adaptive_requires_queueing(self):
-        with pytest.raises(ReproError, match="queue_depth >= 1"):
-            make(adaptive=True)
-
     def test_effective_capacity_tracks_service_time(self):
         sched = make(
-            max_inflight=2, queue_depth=8, adaptive=True,
+            max_inflight=2, queue_depth=8,
             target_deadline_seconds=10.0,
         )
         # No completions yet: the configured depth stands.
@@ -560,7 +590,7 @@ class TestAdaptive:
 
     def test_effective_capacity_clamped_at_both_ends(self):
         slow = make(
-            max_inflight=2, queue_depth=4, adaptive=True,
+            max_inflight=2, queue_depth=4,
             target_deadline_seconds=1.0,
         )
         slow.acquire("textediting", 5.0)
@@ -568,7 +598,7 @@ class TestAdaptive:
         # Service far above the deadline: never below one slot.
         assert slow.snapshot()["effective_queue_capacity"] == 1
         fast = make(
-            max_inflight=2, queue_depth=4, adaptive=True,
+            max_inflight=2, queue_depth=4,
             target_deadline_seconds=10.0,
         )
         fast.acquire("textediting", 5.0)
@@ -578,7 +608,7 @@ class TestAdaptive:
 
     def test_slow_service_shrinks_admission(self):
         sched = make(
-            max_inflight=1, queue_depth=4, adaptive=True,
+            max_inflight=1, queue_depth=4,
             target_deadline_seconds=1.0,
         )
         sched.acquire("textediting", 5.0)
@@ -595,7 +625,7 @@ class TestAdaptive:
         sched.release("textediting")
 
     def test_implicit_budget_is_work_conserving(self):
-        sched = make(max_inflight=2, queue_depth=4, adaptive=True)
+        sched = make(max_inflight=2, queue_depth=4)
         # Fair share is 1, but with nobody else waiting the hot domain
         # may take both slots.
         sched.acquire("textediting", 5.0)
@@ -625,7 +655,7 @@ class TestAdaptive:
 
     def test_explicit_budget_is_never_raised(self):
         sched = make(
-            max_inflight=2, queue_depth=4, adaptive=True,
+            max_inflight=2, queue_depth=4,
             domain_budgets={"textediting": 1},
         )
         sched.acquire("textediting", 5.0)
