@@ -31,6 +31,8 @@ import os
 import time
 from pathlib import Path
 
+from perfbench.common import percentile
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_verify.json"
 SCHEMA = "verify-overhead/v1"
@@ -66,13 +68,6 @@ MAX_REGRESSION = 1.25
 MAX_OVERHEAD_RATIO = 12.0
 
 
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
-
-
 def _measure_workload(name, domain_name, query, examples):
     from repro import Synthesizer, load_domain
 
@@ -100,8 +95,8 @@ def _measure_workload(name, domain_name, query, examples):
         "verified_wall_seconds": sum(verified_walls),
         "overhead_ratio": sum(verified_walls) / max(sum(plain_walls), 1e-9),
         "verify_stage_seconds": {
-            "p50": _percentile(verify_stage, 0.50),
-            "p99": _percentile(verify_stage, 0.99),
+            "p50": percentile(verify_stage, 50),
+            "p99": percentile(verify_stage, 99),
             "total": sum(verify_stage),
         },
     }

@@ -18,12 +18,20 @@ predicates (e.g. the attribute tail of the catalog) simply match nothing.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.expression import Expr, parse_expression
 from repro.errors import ReproError
 from repro.runtime.cppast import AstNode
+
+if sys.version_info >= (3, 11):
+    from re import _constants as _sre_constants, _parser as _sre_parse
+else:  # the same modules before their 3.11 rename
+    import sre_constants as _sre_constants
+    import sre_parse as _sre_parse
 
 
 class MatchError(ReproError):
@@ -212,16 +220,63 @@ def _has_name(self: MatchEvaluator, arg: Expr, node: AstNode) -> bool:
     return bool(node.name) and node.name == self._literal(arg)
 
 
+#: Repeat opcodes (``POSSESSIVE_REPEAT`` exists from 3.11 on).
+_REPEATS = tuple(
+    getattr(_sre_constants, name)
+    for name in ("MAX_REPEAT", "MIN_REPEAT", "POSSESSIVE_REPEAT")
+    if hasattr(_sre_constants, name)
+)
+
+
+def _nested_repeat(items, in_repeat: bool = False) -> bool:
+    """Whether a parsed pattern has a repeat with max > 1 that contains
+    another repeat or an alternation — the shapes that backtrack
+    exponentially, like ``(a+)+$`` on ``aaa...ab``.  An inner optional
+    counts too: ``(a?){25}b`` on 25 ``a`` s searches for 35 s."""
+    for op, av in items:
+        if in_repeat and (op in _REPEATS or op == _sre_constants.BRANCH):
+            return True
+        if op in _REPEATS and av[1] > 1:
+            if _nested_repeat(av[2], True):
+                return True
+            continue
+        for child in _subpatterns(av):
+            if _nested_repeat(child, in_repeat):
+                return True
+    return False
+
+
+def _subpatterns(av):
+    """The parsed subpatterns nested anywhere inside an opcode argument."""
+    if isinstance(av, _sre_parse.SubPattern):
+        yield av
+    elif isinstance(av, (tuple, list)):
+        for item in av:
+            yield from _subpatterns(item)
+
+
+@functools.lru_cache(maxsize=256)
+def _name_pattern(pattern: str) -> Optional[re.Pattern]:
+    """``pattern`` compiled, or None when it is not a regex or could
+    backtrack exponentially.  C-level ``re`` holds the GIL, so a runaway
+    search would stall every thread, and no wall-clock slice can stop it
+    once it has started."""
+    try:
+        if _nested_repeat(_sre_parse.parse(pattern)):
+            return None
+        return re.compile(pattern)
+    except re.error:
+        return None
+
+
 def _matches_name(self: MatchEvaluator, arg: Expr, node: AstNode) -> bool:
     pattern = self._literal(arg)
     if pattern is None or not node.name:
         return False
-    try:
-        return re.search(pattern, node.name) is not None
-    except re.error:
-        # A bad candidate can land an arbitrary literal in the pattern
-        # slot; an unparseable regex matches nothing rather than raising.
-        return False
+    # A bad candidate can land an arbitrary literal in the pattern slot;
+    # an unparseable or refused regex matches nothing rather than raising.
+    compiled = _name_pattern(pattern)
+    return compiled is not None and compiled.search(node.name) is not None
 
 
 def _has_operator_name(self: MatchEvaluator, arg: Expr, node: AstNode) -> bool:

@@ -1,11 +1,15 @@
 """Edge-case tests for the runtime executors."""
 
+import re
+import time
+
 import pytest
 
 from repro.errors import ReproError
 from repro.runtime.cppast import parse_cpp
 from repro.runtime.matcher_eval import MatchError, MatchEvaluator, match_codelet
 from repro.runtime.textedit import execute_codelet
+from repro.verify.executors import get_executor
 
 
 class TestTextEditEdges:
@@ -229,6 +233,41 @@ class TestBadCandidateHardening:
     def test_matches_name_invalid_regex_matches_nothing(self):
         ast = parse_cpp("int f(int a, int b);")
         assert match_codelet('functionDecl(matchesName("["))', ast) == []
+
+    def test_matches_name_nested_repeat_matches_nothing_quickly(self):
+        # ``(a+)+$`` backtracks exponentially on ``aaa...ab``; a C-level
+        # ``re`` search holds the GIL, so no wall-clock slice could stop
+        # it.  The pattern is refused before it runs.
+        executor = get_executor("astmatcher")
+        for length in (24, 25, 26):
+            source = "int " + "a" * (length - 1) + "b;"
+            started = time.monotonic()
+            out = executor('decl(matchesName("(a+)+$"))', source)
+            assert time.monotonic() - started < 0.5
+            assert out == ""
+
+    @pytest.mark.parametrize("pattern,name", [
+        ("(a+)+$", "aa"), ("(a*)*", "f"), ("(?:a|ab)+", "ab"),
+        ("((ab)+c)*", "ababc"), ("(a{2,}){2,}", "aaaa"),
+        ("(x(a|bc))+", "xbc"), ("(?:(a+)b)*", "aab"), ("(a?){3}b", "ab"),
+    ])
+    def test_matches_name_refuses_nested_repeats(self, pattern, name):
+        # Each pattern would match ``name``; refused, it matches nothing.
+        assert re.search(pattern, name)
+        ast = parse_cpp(f"int {name}();")
+        codelet = f'functionDecl(matchesName("{pattern}"))'
+        assert match_codelet(codelet, ast) == []
+
+    @pytest.mark.parametrize("pattern,name", [
+        ("a+b+", "aab"), ("(ab)+", "abab"), ("(ab)?c+", "cc"),
+        ("[ab]+", "ab"), ("(?:a|b)+", "ab"), ("x(a|bc)y+", "xbcyy"),
+        ("(a|bc)", "bc"),
+    ])
+    def test_matches_name_accepts_patterns_without_nesting(self, pattern,
+                                                           name):
+        ast = parse_cpp(f"int {name}();")
+        codelet = f'functionDecl(matchesName("{pattern}"))'
+        assert [n.name for n in match_codelet(codelet, ast)] == [name]
 
     def test_count_matchers_non_numeric_literal(self):
         ast = parse_cpp("int f(int a, int b);")

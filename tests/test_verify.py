@@ -9,7 +9,10 @@ byte-identical.
 """
 
 import json
+import multiprocessing
 import socket  # noqa: F401 - imported before sandboxing (see tests below)
+import sys
+import threading
 import time
 
 import pytest
@@ -35,6 +38,7 @@ from repro.verify import (
     run_sandboxed,
     verify_candidates,
 )
+from repro.verify import sandbox as sandbox_module
 from repro.verify.examples import MAX_EXAMPLES, MAX_TEXT_BYTES
 
 
@@ -206,6 +210,95 @@ class TestSandbox:
         run_sandboxed(lambda: 1, 1.0)
         target.write_text("ok")
         assert target.read_text() == "ok"
+
+    def test_sequential_calls_reuse_one_worker(self):
+        first = run_sandboxed(threading.get_ident, 2.0)
+        second = run_sandboxed(threading.get_ident, 2.0)
+        assert first.status == second.status == "ok"
+        assert first.value == second.value
+        assert first.value != threading.get_ident()
+
+    def test_fence_holds_on_reused_worker(self):
+        first = run_sandboxed(threading.get_ident, 2.0)
+        seen = []
+
+        def escape():
+            seen.append(threading.get_ident())
+            return open("/etc/hostname").read()
+
+        result = run_sandboxed(escape, 2.0)
+        assert first.status == "ok"
+        assert seen == [first.value]
+        assert result.status == "error"
+        assert isinstance(result.error, SandboxViolation)
+
+    def test_timed_out_worker_exits_and_is_not_reused(self, monkeypatch):
+        monkeypatch.setattr(sandbox_module, "_idle", [])
+        sleeping = threading.Event()
+        sleeper = []
+
+        def sleep():
+            sleeper.append(threading.current_thread())
+            sleeping.set()
+            time.sleep(1.5)
+
+        assert run_sandboxed(sleep, 0.1).status == "timeout"
+        assert sleeping.wait(5.0)
+        result = run_sandboxed(threading.current_thread, 2.0)
+        assert result.status == "ok"
+        assert result.elapsed_seconds < 0.5  # the sleeper still runs
+        assert result.value is not sleeper[0]
+        sleeper[0].join(5.0)
+        assert not sleeper[0].is_alive()
+        assert result.value.name == "repro-verify-sandbox"
+        assert result.value.is_alive()  # idle, waiting for work
+        assert len(sandbox_module._idle) == 1
+
+    def test_forked_child_starts_its_own_workers(self):
+        assert run_sandboxed(lambda: 1, 2.0).status == "ok"
+        assert sandbox_module._idle  # a worker the child would inherit
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_sandboxed_in_child, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(30.0)
+            assert receiver.recv() == ("ok", 42)
+        finally:
+            child.join(10.0)
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_share_a_bounded_free_list(self, monkeypatch):
+        monkeypatch.setattr(sandbox_module, "_idle", [])
+        wrong = []
+
+        def caller(k):
+            for i in range(100):
+                result = run_sandboxed(lambda i=i: (k, i), 5.0)
+                if result.status != "ok" or result.value != (k, i):
+                    wrong.append((k, i, result))
+
+        callers = [threading.Thread(target=caller, args=(k,))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert wrong == []
+        assert 1 <= len(sandbox_module._idle) <= 8
+
+
+def _sandboxed_in_child(sender):
+    result = run_sandboxed(lambda: 6 * 7, 5.0)
+    sender.send((result.status, result.value))
+    sender.close()
 
 
 # ---------------------------------------------------------------------------
