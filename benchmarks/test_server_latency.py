@@ -26,6 +26,7 @@ import statistics
 import time
 
 from benchmarks.conftest import BENCH_LIMIT, BENCH_TIMEOUT, _cases
+from perfbench.common import percentile
 from repro import Synthesizer
 from repro.client import HttpClient
 from repro.domains import clear_cached_domains
@@ -46,18 +47,12 @@ def _queries():
     return [c.query for c in _cases("textediting")]
 
 
-def _percentile(samples, fraction):
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(len(ordered) * fraction))
-    return ordered[index]
-
-
 def _latency_stats(samples):
     return {
         "n": len(samples),
         "mean_ms": round(statistics.mean(samples) * 1000, 3),
-        "p50_ms": round(_percentile(samples, 0.50) * 1000, 3),
-        "p95_ms": round(_percentile(samples, 0.95) * 1000, 3),
+        "p50_ms": round(percentile(samples, 50) * 1000, 3),
+        "p95_ms": round(percentile(samples, 95) * 1000, 3),
         "max_ms": round(max(samples) * 1000, 3),
         "qps": round(len(samples) / sum(samples), 2),
     }

@@ -31,6 +31,7 @@ import threading
 import time
 
 from benchmarks.conftest import BENCH_TIMEOUT
+from perfbench.common import percentile
 from repro import Synthesizer, load_domain
 from repro.server import ServerConfig, SynthesisService
 
@@ -70,18 +71,12 @@ def _inject_delay(service, delay=SERVICE_DELAY):
             state.synthesizers[engine] = _Delayed(synth, delay)
 
 
-def _percentile(samples, fraction):
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(len(ordered) * fraction))
-    return ordered[index]
-
-
 def _latency_stats(samples_seconds):
     return {
         "n": len(samples_seconds),
         "mean_ms": round(statistics.mean(samples_seconds) * 1000, 3),
-        "p50_ms": round(_percentile(samples_seconds, 0.50) * 1000, 3),
-        "p99_ms": round(_percentile(samples_seconds, 0.99) * 1000, 3),
+        "p50_ms": round(percentile(samples_seconds, 50) * 1000, 3),
+        "p99_ms": round(percentile(samples_seconds, 99) * 1000, 3),
         "max_ms": round(max(samples_seconds) * 1000, 3),
     }
 
@@ -199,7 +194,7 @@ def _run_isolation(direct):
         assert payload["codelet"] == direct[TE_QUERY]
 
     probe_waits_ms = [p["queue_wait_ms"] for _, p, _ in probe_payloads]
-    probe_p99_ms = _percentile(probe_waits_ms, 0.99)
+    probe_p99_ms = percentile(probe_waits_ms, 99)
     # The acceptance bound: the flood's backlog must not leak into the
     # probe domain's queue waits.
     assert probe_p99_ms <= ISOLATION_P99_BOUND_MS, (

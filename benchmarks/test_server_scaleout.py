@@ -41,6 +41,8 @@ import threading
 import time
 from pathlib import Path
 
+from perfbench.common import percentile
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_serving.json"
 SCHEMA = "server-scaleout/v1"
@@ -70,13 +72,6 @@ SMOKE_MEASURE_SECONDS = 3.0
 FULL_MIN_SPEEDUP_4W = 2.5
 SMOKE_MAX_REGRESSION = 1.25
 MAX_ERROR_RATE = 0.05
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
 
 
 def _boot(workers, tmp_dir):
@@ -176,14 +171,16 @@ def _drive(port, concurrency, measure_seconds):
     with lock:
         n_ok = len(ok_samples)
         n_error = error_count[0]
+        # No answers at all: latencies read 0 and the error-rate gate fails.
+        latencies = ok_samples or [0.0]
         return {
             "concurrency": concurrency,
             "window_seconds": round(window, 3),
             "n_ok": n_ok,
             "n_error": n_error,
             "saturation_qps": round(n_ok / window, 2),
-            "p50_ms": round(_percentile(ok_samples, 0.50) * 1000, 1),
-            "p99_ms": round(_percentile(ok_samples, 0.99) * 1000, 1),
+            "p50_ms": round(percentile(latencies, 50) * 1000, 1),
+            "p99_ms": round(percentile(latencies, 99) * 1000, 1),
         }
 
 

@@ -1,12 +1,19 @@
 """Clients for a running ``repro serve`` instance.
 
-:class:`HttpClient` speaks to the HTTP front end over ``http.client``
-(stdlib).  It keeps one persistent keep-alive connection per calling
-thread and reuses it across requests *and* retries (a retry of an
-``overloaded`` answer must not pay a fresh TCP handshake to a server
-that is already loaded); a connection that went stale between requests
-is replaced transparently, once.  Call :meth:`HttpClient.close` — or
-use the client as a context manager — to release the sockets.
+:class:`HttpClient` speaks to the HTTP front end over its own small
+HTTP/1.1 connection class: each request leaves in one ``send`` on a
+``TCP_NODELAY`` socket, and the status line, headers and
+``Content-Length`` body are read from the connection's own buffer.  It
+keeps one persistent keep-alive connection per calling thread and
+reuses it across requests *and* retries (a retry of an ``overloaded``
+answer must not pay a fresh TCP handshake to a server that is already
+loaded); a connection that went stale between requests is replaced
+transparently, once, and one the server answers with
+``Connection: close`` is dropped.  Transport failures raise the stdlib's
+``http.client`` exception types (``RemoteDisconnected``,
+``IncompleteRead``, ``BadStatusLine``, all ``HTTPException``) or
+``OSError``.  Call :meth:`HttpClient.close` — or use the client as a
+context manager — to release the sockets.
 :class:`StdioClient` owns a ``repro serve --stdio`` child process and
 speaks the JSON-lines protocol.  Both raise :class:`ServerError` —
 carrying the server's stable error code — when the server answers with a
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -86,6 +94,92 @@ def _raise_for_error(payload: Dict[str, Any], status: int = 0) -> None:
         )
 
 
+#: Largest response head (status line and headers) and most headers the
+#: client reads: the limits of the stdlib's HTTP parser.
+_MAX_HEAD_BYTES = 65536
+_MAX_HEADERS = 100
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection to ``host:port``.  ``sock`` is
+    None until the first request connects it."""
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.sock: Optional[socket.socket] = None
+        self._buffer = bytearray()
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        self._buffer.clear()
+        if sock is not None:
+            sock.close()
+
+    def request(self, head: bytes, body: bytes) -> Tuple[int, bytes, bool]:
+        """Send one request (``head`` ends with the blank line); returns
+        ``(status, body, will_close)``."""
+        if self.sock is None:
+            self.sock = socket.create_connection(
+                (self.host, self.port), self.timeout
+            )
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.sendall(head + body)
+        return self._read_response()
+
+    def _receive(self) -> bool:
+        chunk = self.sock.recv(65536)
+        self._buffer += chunk
+        return bool(chunk)
+
+    def _read_response(self) -> Tuple[int, bytes, bool]:
+        buffer = self._buffer
+        end = buffer.find(b"\r\n\r\n")
+        while end < 0:
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise http.client.LineTooLong("response head")
+            if not self._receive():
+                if not buffer:
+                    raise http.client.RemoteDisconnected(
+                        "Remote end closed connection without response"
+                    )
+                raise http.client.IncompleteRead(bytes(buffer))
+            end = buffer.find(b"\r\n\r\n")
+        lines = bytes(buffer[:end]).split(b"\r\n")
+        del buffer[:end + 4]
+        words = lines[0].split(None, 2)
+        if (len(words) < 2 or not words[0].startswith(b"HTTP/")
+                or len(words[1]) != 3 or not words[1].isdigit()):
+            raise http.client.BadStatusLine(lines[0].decode("latin-1"))
+        if len(lines) - 1 > _MAX_HEADERS:
+            raise http.client.HTTPException(
+                f"got more than {_MAX_HEADERS} headers"
+            )
+        headers: Dict[bytes, bytes] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        length = headers.get(b"content-length", b"")
+        if not length.isdigit():
+            raise http.client.HTTPException(
+                f"response without a valid Content-Length: {length!r}"
+            )
+        length = int(length)
+        while len(buffer) < length:
+            if not self._receive():
+                raise http.client.IncompleteRead(
+                    bytes(buffer), length - len(buffer)
+                )
+        data = bytes(buffer[:length])
+        del buffer[:length]
+        connection = headers.get(b"connection", b"").lower()
+        will_close = b"close" in connection or (
+            words[0] == b"HTTP/1.0" and b"keep-alive" not in connection
+        )
+        return int(words[1]), data, will_close
+
+
 class HttpClient:
     """Minimal client for the HTTP front end.
 
@@ -114,19 +208,19 @@ class HttpClient:
         self.keep_alive = keep_alive
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: List[http.client.HTTPConnection] = []
+        host_header = f"[{host}]" if ":" in host else host
+        self._host_line = f"Host: {host_header}:{port}\r\n".encode("ascii")
+        self._connections: List[_Connection] = []
         self._closed = False
 
     # ------------------------------------------------------------------
     # Connection management
 
-    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+    def _connection(self, timeout: float) -> _Connection:
         """This thread's persistent connection, created on first use."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout
-            )
+            conn = _Connection(self.host, self.port, timeout)
             self._local.conn = conn
             with self._lock:
                 self._connections.append(conn)
@@ -184,19 +278,23 @@ class HttpClient:
         """One round trip; returns ``(http_status, decoded_payload)``
         without interpreting errors (the raw escape hatch)."""
         effective = self.connect_timeout if timeout is None else timeout
-        raw = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if raw else {}
+        raw = b"" if body is None else json.dumps(body).encode("utf-8")
+        head = b"%s %s HTTP/1.1\r\n%s" % (
+            method.encode("ascii"), path.encode("ascii"), self._host_line
+        )
+        if raw:
+            head += (b"Content-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n" % len(raw))
         if not self.keep_alive:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=effective
-            )
+            conn = _Connection(self.host, self.port, effective)
             try:
-                conn.request(method, path, body=raw, headers=headers)
-                response = conn.getresponse()
-                payload = json.loads(response.read().decode("utf-8"))
-                return response.status, payload
+                status, data, _ = conn.request(
+                    head + b"Connection: close\r\n\r\n", raw
+                )
+                return status, json.loads(data.decode("utf-8"))
             finally:
                 conn.close()
+        head += b"\r\n"
         for attempt in (0, 1):
             conn = self._connection(effective)
             # A socket that existed before this request may have been
@@ -205,13 +303,11 @@ class HttpClient:
             # is real and propagates.
             was_connected = conn.sock is not None
             try:
-                conn.request(method, path, body=raw, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-                if response.will_close:
+                status, data, will_close = conn.request(head, raw)
+                if will_close:
                     self._drop_connection()
-                return response.status, json.loads(data.decode("utf-8"))
-            except (http.client.HTTPException, ConnectionError, OSError):
+                return status, json.loads(data.decode("utf-8"))
+            except (http.client.HTTPException, OSError):
                 self._drop_connection()
                 if attempt == 0 and was_connected:
                     continue

@@ -1,4 +1,5 @@
-"""HTTP front end: a stdlib ``ThreadingHTTPServer`` over the service.
+"""HTTP front end: a stdlib ``ThreadingHTTPServer`` accept loop over the
+service, with its own lean HTTP/1.1 request handler.
 
 Endpoints (docs/serving.md is the reference):
 
@@ -24,11 +25,19 @@ Endpoints (docs/serving.md is the reference):
   (API count, grammar hash, and — for pack-backed domains — the pack
   name / version / source directory; see docs/domain_packs.md).
 
-Transport: every accepted socket sets ``TCP_NODELAY``, so a keep-alive
-response's body never waits ~40 ms for the client's delayed ACK (the
-client side, ``http.client``, already sets it), and any socket read or
-write that blocks for :attr:`_Handler.timeout` seconds closes the
-connection, so a stalled or idle client cannot pin a handler thread.
+Transport: a small keep-alive HTTP/1.1 implementation over the stdlib
+accept loop.  The request line and headers are parsed by splitting
+bytes, under the stdlib parser's limits (65,536-byte lines, 100
+headers), and a body is framed by ``Content-Length`` only.  Each
+response — status line, headers and body — leaves in one ``sendall``.
+Every transport-level refusal (a malformed or over-long line, too many
+headers, an unsupported HTTP version or method, any
+``Transfer-Encoding``, conflicting ``Content-Length`` values) answers in
+the :func:`~repro.server.protocol.error_response` JSON shape with code
+``bad_request`` and closes the connection (RFC 9112 §6.3).  Every
+accepted socket sets ``TCP_NODELAY``, and any socket read or write that
+blocks for :attr:`_Handler.timeout` seconds closes the connection, so a
+stalled or idle client cannot pin a handler thread.
 
 Each request is handled on its own thread (``ThreadingHTTPServer``), so
 concurrency is bounded by the service's request scheduler, not the
@@ -50,16 +59,25 @@ import gc
 import json
 import math
 import signal
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro import __version__
 from repro.server.protocol import error_response
 from repro.server.service import SynthesisService
 
 #: Largest accepted request body; a synthesis query is a sentence, so
 #: anything close to this is a client bug, not a workload.
 MAX_BODY_BYTES = 1 << 20
+#: Longest request or header line, and most headers, per request: the
+#: limits the stdlib's HTTP parser applies.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
 
 class SynthesisHTTPServer(ThreadingHTTPServer):
@@ -101,24 +119,165 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         return self.server_address[1]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    #: Advertise HTTP/1.1 (keep-alive) so clients can reuse connections.
-    protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY on every accepted socket: a response goes out as a
-    #: header write and a body write, and with Nagle's algorithm on, the
-    #: body waits for the client's delayed ACK (~40 ms) on a reused
-    #: keep-alive connection.
+class _Refused(Exception):
+    """A request the transport will not serve: answered with ``status``
+    and a JSON ``bad_request`` error, then the connection closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _shown(raw: bytes) -> str:
+    """Up to 64 bytes of a refused request, quoted for an error message."""
+    return repr(raw[:64].decode("iso-8859-1").rstrip("\r\n"))
+
+
+def _version(token: bytes) -> Tuple[int, int]:
+    """``b"HTTP/1.1"`` -> ``(1, 1)``; refuses anything else."""
+    major, dot, minor = token[5:].partition(b".")
+    if (not token.startswith(b"HTTP/") or not dot or not major.isdigit()
+            or not minor.isdigit() or len(major) > 10 or len(minor) > 10):
+        raise _Refused(400, f"malformed HTTP version {_shown(token)}")
+    version = int(major), int(minor)
+    if version >= (2, 0) or version < (1, 0):
+        raise _Refused(505, f"HTTP version {_shown(token)} is not "
+                            "supported; speak HTTP/1.1")
+    return version
+
+
+def _http_date(now: float) -> bytes:
+    """The ``Date`` header line for ``now`` (RFC 9110 §5.6.7), spelled
+    the same in every locale."""
+    year, month, day, hour, minute, second, weekday = time.gmtime(now)[:7]
+    return b"Date: %s, %02d %s %04d %02d:%02d:%02d GMT\r\n" % (
+        _WEEKDAYS[weekday], day, _MONTHS[month - 1], year, hour, minute,
+        second,
+    )
+
+
+_WEEKDAYS = (b"Mon", b"Tue", b"Wed", b"Thu", b"Fri", b"Sat", b"Sun")
+_MONTHS = (b"Jan", b"Feb", b"Mar", b"Apr", b"May", b"Jun", b"Jul", b"Aug",
+           b"Sep", b"Oct", b"Nov", b"Dec")
+_STATUS_LINES = {
+    s.value: b"HTTP/1.1 %d %s\r\n" % (s.value, s.phrase.encode("ascii"))
+    for s in HTTPStatus
+}
+_SERVER = b"Server: repro/%s\r\n" % __version__.encode("ascii")
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One keep-alive HTTP/1.1 connection: requests are parsed by byte
+    splitting and each response leaves in one ``sendall``."""
+
+    #: TCP_NODELAY on every accepted socket, so no response waits on
+    #: Nagle's algorithm for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     #: Seconds any one socket read or write may block.  A client that
     #: stalls mid-request or idles on a keep-alive connection gets its
-    #: connection closed (the stdlib handles the timeout) instead of
-    #: pinning this handler thread.
+    #: connection closed instead of pinning this handler thread.
     timeout = 30
     server: SynthesisHTTPServer
 
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._handle_one()
+        except (socket.timeout, ConnectionError):
+            # A stalled, idle or vanished peer: nothing to answer, and
+            # nothing more to read from this connection.
+            pass
+
+    def _handle_one(self) -> None:
+        try:
+            if not self._read_head():
+                self.close_connection = True  # the peer closed
+                return
+            if self.command == b"POST":
+                self._post()
+            elif self.command == b"GET":
+                self._discard_body()  # a GET body is never read
+                self._get()
+            else:
+                raise _Refused(501,
+                               f"unsupported method {_shown(self.command)}")
+        except _Refused as refused:
+            # The rest of the stream cannot be trusted to be framed.
+            self.close_connection = True
+            self._send(refused.status,
+                       error_response("bad_request", str(refused))[1])
+
+    def _read_head(self) -> bool:
+        """Parse the request line and headers into ``command``, ``path``,
+        ``content_length``, ``expect_continue`` and ``close_connection``
+        (on a repeated header the first occurrence wins); False at
+        EOF."""
+        rfile = self.rfile
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        while line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: skip blank lines
+            line = rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return False
+        if len(line) > MAX_LINE_BYTES:
+            raise _Refused(414, "request line too long")
+        words = line.split()
+        if len(words) != 3:
+            raise _Refused(400, f"malformed request line {_shown(line)}")
+        self.command, target, version = words
+        self.path = target.decode("iso-8859-1")
+        version = _version(version)
+        headers: Dict[bytes, bytes] = {}
+        lengths = set()
+        te = False
+        n_headers = 0
+        while True:
+            line = rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _Refused(431, "header line too long")
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                return False
+            n_headers += 1
+            if n_headers > MAX_HEADERS:
+                raise _Refused(431, f"more than {MAX_HEADERS} headers")
+            name, colon, value = line.partition(b":")
+            name = name.lower()
+            if not colon or not name or name != name.strip():
+                raise _Refused(400, f"malformed header line {_shown(line)}")
+            value = value.strip()
+            if name == b"content-length":
+                lengths.update(v.strip() for v in value.split(b","))
+            elif name == b"transfer-encoding":
+                te = True
+            headers.setdefault(name, value)
+        # RFC 9112 §6.3: a body this transport cannot frame by one
+        # Content-Length must not be guessed at.
+        if te:
+            raise _Refused(501, "Transfer-Encoding is not supported; "
+                                "send the body with a Content-Length")
+        if len(lengths) > 1:
+            raise _Refused(400, "conflicting Content-Length values")
+        length = lengths.pop() if lengths else b"0"
+        if not length.isdigit():
+            raise _Refused(400, f"malformed Content-Length {_shown(length)}")
+        self.content_length = int(length)
+        tokens = {t.strip() for t in
+                  headers.get(b"connection", b"").lower().split(b",")}
+        if b"close" in tokens:
+            self.close_connection = True
+        elif version < (1, 1) and b"keep-alive" not in tokens:
+            self.close_connection = True
+        self.expect_continue = version >= (1, 1) and (
+            headers.get(b"expect", b"").lower() == b"100-continue"
+        )
+        return True
+
     # ------------------------------------------------------------------
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+    def _post(self) -> None:
         path = self.path.rstrip("/")
         if path == "/admin/reload":
             self._handle_reload()
@@ -158,7 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
                 pass  # this worker's reload already succeeded
         self._send(status, payload)
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+    def _get(self) -> None:
         service = self.server.service
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
@@ -181,28 +340,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
 
+    def _read_body(self) -> bytes:
+        if self.expect_continue:
+            # The client waits for this before it sends the body.
+            self.connection.sendall(_CONTINUE)
+        return self.rfile.read(self.content_length)
+
     def _discard_body(self) -> None:
         """Drain an unread request body so the keep-alive stream stays
-        framed; when the declared length is untrustworthy, close the
+        framed; when the body is too large to read, close the
         connection after the response instead."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if 0 <= length <= MAX_BODY_BYTES:
-            if length:
-                self.rfile.read(length)
-        else:
+        if self.content_length > MAX_BODY_BYTES:
             self.close_connection = True
+        elif self.content_length:
+            self._read_body()
 
     def _read_json(self):
         """Returns ``(None, decoded_body)`` or ``((status, payload), None)``
         for a body that cannot be decoded."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
+        if self.content_length > MAX_BODY_BYTES:
             # The body cannot be safely skipped, so the connection must
             # not be reused after this error response.
             self.close_connection = True
@@ -214,9 +370,9 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
                 None,
             )
-        if length == 0:
+        if not self.content_length:
             return None, None  # endpoints decide whether a body is required
-        raw = self.rfile.read(length)
+        raw = self._read_body()
         try:
             return None, json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -226,10 +382,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _send(self, status: int, payload: Dict[str, Any]) -> None:
+        """Status line, headers and body in one ``sendall``."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        head = (
+            _STATUS_LINES[status] + _SERVER + _http_date(time.time())
+            + b"Content-Type: application/json\r\n"
+            + b"Content-Length: %d\r\n" % len(body)
+        )
         retry_after_ms = (
             (payload.get("error") or {}).get("retry_after_ms")
             if status == 429 else None
@@ -237,19 +396,12 @@ class _Handler(BaseHTTPRequestHandler):
         if retry_after_ms is not None:
             # Standard backpressure surface for generic HTTP clients:
             # whole seconds, rounded up so "soon" never reads as "now".
-            self.send_header(
-                "Retry-After", str(max(1, math.ceil(retry_after_ms / 1000)))
+            head += b"Retry-After: %d\r\n" % max(
+                1, math.ceil(retry_after_ms / 1000)
             )
-        try:
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The peer went away before its answer: nothing to report
-            # to, and nothing more to read from this connection.
-            self.close_connection = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet by default; the CLI owns user-facing logging."""
+        if self.close_connection:
+            head += b"Connection: close\r\n"
+        self.connection.sendall(head + b"\r\n" + body)
 
 
 def start_http_server(

@@ -1282,6 +1282,404 @@ class TestHttpTransportRobustness:
         assert "Traceback" not in capfd.readouterr().err
 
 
+def _responses(raw):
+    """Split the bytes a server wrote into ``(status, headers, payload)``
+    responses (header names lower-cased, interim 1xx kept with a None
+    payload).  Bytes that do not start with a status line are an error:
+    every answer, refusals included, must be a framed HTTP/1.1 one."""
+    out = []
+    while raw:
+        head, sep, raw = raw.partition(b"\r\n\r\n")
+        assert sep, f"unterminated response head: {head[:200]!r}"
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(b"HTTP/1.1 "), f"no status line: {head!r}"
+        status = int(lines[0].split()[1])
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower().decode()] = value.strip().decode()
+        if status < 200:
+            out.append((status, headers, None))
+            continue
+        length = int(headers["content-length"])
+        body, raw = raw[:length], raw[length:]
+        assert len(body) == length, "truncated body"
+        out.append((status, headers, json.loads(body)))
+    return out
+
+
+def _exchange(port, data, *, timeout=10.0):
+    """Send ``data`` on a fresh connection and return every byte the
+    server writes until it closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _read_one(reader):
+    """Read exactly one framed response from ``reader`` (a kept-alive
+    socket's ``makefile("rb")``)."""
+    head = reader.readline()
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline()
+        assert line, f"connection closed mid-head: {head!r}"
+        head += line
+    length = int(re.search(rb"(?i)\r\ncontent-length: *(\d+)", head)[1])
+    return _responses(head + reader.read(length))[0]
+
+
+def _healthz(extra=b"", version=b"HTTP/1.1"):
+    return (b"GET /healthz " + version + b"\r\nHost: localhost\r\n"
+            + extra + b"\r\n")
+
+
+_SYNTH_BODY = json.dumps({"query": QUERY}).encode()
+
+
+def _assert_one_refusal(raw, status):
+    """Exactly one JSON ``bad_request`` answer, marked Connection: close
+    (the caller has already seen the server close the connection)."""
+    answers = _responses(raw)
+    assert len(answers) == 1, answers
+    got_status, headers, payload = answers[0]
+    assert got_status == status, answers
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    assert payload["status"] == "error" and payload["id"] is None
+    assert payload["error"]["code"] == "bad_request"
+    return payload["error"]["message"]
+
+
+class TestHttpFraming:
+    """Bodies are framed by one Content-Length only (RFC 9112 §6.3)."""
+
+    def test_chunked_post_gets_one_json_error_then_close(self, http_setup):
+        _, client = http_setup
+        chunk = b"%x\r\n%s\r\n0\r\n\r\n" % (len(_SYNTH_BODY), _SYNTH_BODY)
+        raw = _exchange(client.port, (
+            b"POST /synthesize HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n" + chunk
+        ))
+        message = _assert_one_refusal(raw, 501)
+        assert "Transfer-Encoding" in message
+
+    def test_transfer_encoding_with_content_length_refused(self, http_setup):
+        _, client = http_setup
+        raw = _exchange(client.port, (
+            b"POST /synthesize HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: %d\r\nTransfer-Encoding: identity\r\n\r\n%s"
+            % (len(_SYNTH_BODY), _SYNTH_BODY)
+        ))
+        _assert_one_refusal(raw, 501)
+
+    def test_differing_content_lengths_refused(self, http_setup):
+        _, client = http_setup
+        raw = _exchange(client.port, (
+            b"POST /synthesize HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 5\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(_SYNTH_BODY), _SYNTH_BODY)
+        ))
+        message = _assert_one_refusal(raw, 400)
+        assert "Content-Length" in message
+
+    def test_equal_content_lengths_accepted(self, http_setup):
+        _, client = http_setup
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            sock.sendall(
+                b"POST /synthesize HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(_SYNTH_BODY), len(_SYNTH_BODY), _SYNTH_BODY)
+            )
+            status, _, payload = _read_one(sock.makefile("rb"))
+        assert status == 200 and payload["status"] == "ok", payload
+
+    def test_get_body_is_drained_before_the_next_request(self, http_setup):
+        _, client = http_setup
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            sock.sendall(_healthz(b"Content-Length: 4\r\n") + b"abcd"
+                         + _healthz())
+            reader = sock.makefile("rb")
+            assert _read_one(reader)[0] == 200
+            assert _read_one(reader)[0] == 200
+
+
+class TestHttpTransportErrors:
+    """Every transport-level refusal is one JSON answer with a status
+    line, then the connection closes."""
+
+    @pytest.mark.parametrize("request_bytes, status, fragment", [
+        (b"GET /healthz\r\n\r\n", 400, "request line"),  # HTTP/0.9
+        (b"GARBAGE\r\n\r\n", 400, "request line"),
+        (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400, "request line"),
+        (b"GET /healthz HTTX/1.1\r\n\r\n", 400, "HTTP version"),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 505, "not supported"),
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 414, "too long"),
+        (_healthz(b"X-Big: " + b"b" * 70000 + b"\r\n"), 431, "too long"),
+        (_healthz(b"X-Many: 1\r\n" * 101), 431, "100 headers"),
+        (_healthz(b"no colon here\r\n"), 400, "header line"),
+        (_healthz(b"X-Space : 1\r\n"), 400, "header line"),
+        (_healthz(b"Content-Length: -1\r\n"), 400, "Content-Length"),
+        (b"BREW /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n", 501,
+         "BREW"),
+        (b"PUT /synthesize HTTP/1.1\r\nHost: localhost\r\n\r\n", 501,
+         "PUT"),
+    ], ids=["http09", "garbage", "four-words", "bad-version", "http2",
+            "long-line", "long-header", "101-headers", "no-colon",
+            "space-before-colon", "negative-length", "brew", "put"])
+    def test_refusal_is_json_then_close(
+        self, http_setup, request_bytes, status, fragment
+    ):
+        _, client = http_setup
+        message = _assert_one_refusal(
+            _exchange(client.port, request_bytes), status
+        )
+        assert fragment in message
+
+    def test_one_hundred_headers_are_accepted(self, http_setup):
+        _, client = http_setup
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            sock.sendall(_healthz(b"X-Many: 1\r\n" * 99))  # + Host = 100
+            assert _read_one(sock.makefile("rb"))[0] == 200
+
+    def test_server_still_serves_after_refusals(self, http_setup):
+        _, client = http_setup
+        _exchange(client.port, b"GARBAGE\r\n\r\n")
+        assert client.health()["status"] == "ok"
+
+
+class TestHttpConnectionSemantics:
+    def test_expect_100_continue_on_a_large_body(self, http_setup):
+        """What curl sends for a body over 1 KB: the interim
+        ``100 Continue`` comes before the body is sent, then the
+        answer."""
+        _, client = http_setup
+        body = json.dumps({"query": QUERY, "id": "x" * 1500}).encode()
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            sock.sendall(
+                b"POST /synthesize HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+                % len(body)
+            )
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                chunk = sock.recv(1)
+                assert chunk, interim
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            status, headers, payload = _read_one(sock.makefile("rb"))
+        assert status == 200, payload
+        assert payload["status"] == "ok" and payload["id"] == "x" * 1500
+        assert "connection" not in headers
+
+    def test_no_interim_response_for_an_oversized_body(self, http_setup):
+        from repro.server.http import MAX_BODY_BYTES
+
+        _, client = http_setup
+        raw = _exchange(client.port, (
+            b"POST /synthesize HTTP/1.1\r\nHost: localhost\r\n"
+            b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1)
+        ))
+        answers = _responses(raw)
+        assert [status for status, _, _ in answers] == [400], answers
+
+    @pytest.mark.parametrize("version, extra", [
+        (b"HTTP/1.0", b""),
+        (b"HTTP/1.1", b"Connection: close\r\n"),
+        (b"HTTP/1.1", b"Connection: Close\r\n"),
+    ], ids=["http10", "connection-close", "connection-Close"])
+    def test_closes_after_the_answer(self, http_setup, version, extra):
+        _, client = http_setup
+        # A second request on the same write must never be answered.
+        raw = _exchange(client.port, _healthz(extra, version) + _healthz())
+        answers = _responses(raw)
+        assert len(answers) == 1, answers
+        status, headers, payload = answers[0]
+        assert status == 200 and payload["status"] == "ok"
+        assert headers["connection"] == "close"
+
+    def test_http11_keeps_the_connection_open(self, http_setup):
+        _, client = http_setup
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            sock.sendall(_healthz() + _healthz())
+            reader = sock.makefile("rb")
+            first, second = _read_one(reader), _read_one(reader)
+        assert first[0] == second[0] == 200
+        assert "connection" not in first[1]
+
+    def test_first_of_repeated_headers_wins(self, http_setup):
+        _, client = http_setup
+        # keep-alive first: the connection stays open for the second GET.
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            sock.sendall(
+                _healthz(b"Connection: keep-alive\r\nConnection: close\r\n")
+                + _healthz()
+            )
+            reader = sock.makefile("rb")
+            assert _read_one(reader)[0] == 200
+            assert _read_one(reader)[0] == 200
+        # close first: one answer, then the server closes.
+        raw = _exchange(client.port, _healthz(
+            b"Connection: close\r\nConnection: keep-alive\r\n"
+        ) + _healthz())
+        assert len(_responses(raw)) == 1
+
+    def test_response_leaves_in_one_write(self, http_setup, monkeypatch):
+        """Status line, headers and body leave in one ``sendall``: a
+        header/body split is what let Nagle's algorithm stall answers."""
+        _, client = http_setup
+        writes = []
+        setup = _Handler.setup
+
+        class Spy:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
+            def sendall(self, data):
+                writes.append(bytes(data))
+                return self._sock.sendall(data)
+
+        def spying_setup(handler):
+            setup(handler)
+            handler.connection = Spy(handler.connection)
+
+        monkeypatch.setattr(_Handler, "setup", spying_setup)
+        with socket.create_connection(("127.0.0.1", client.port),
+                                      timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for request in (_healthz(), b"POST /synthesize HTTP/1.1\r\n"
+                            b"Content-Length: %d\r\n\r\n%s"
+                            % (len(_SYNTH_BODY), _SYNTH_BODY)):
+                sock.sendall(request)
+                assert _read_one(reader)[0] == 200
+        assert len(writes) == 2
+        for write in writes:
+            (status, headers, payload), = _responses(write)
+            assert status == 200 and payload["status"] == "ok"
+            assert list(headers) == [
+                "server", "date", "content-type", "content-length"
+            ]
+
+
+@contextlib.contextmanager
+def _canned_server(*answers):
+    """A listener that takes one connection per canned answer: it reads
+    the request head, writes the answer's bytes and closes.  Yields the
+    port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        for answer in answers:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    head += chunk
+                conn.sendall(answer)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        listener.close()
+        thread.join(10)
+
+
+class TestHttpClientTransport:
+    def test_connection_close_answer_drops_the_connection(self):
+        body = b'{"status": "ok"}'
+        answer = (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n"
+                  b"Connection: close\r\n\r\n%s" % (len(body), body))
+        with _canned_server(answer, answer) as port:
+            with HttpClient(port=port) as client:
+                assert client.request("GET", "/healthz") == (
+                    200, {"status": "ok"}
+                )
+                assert client._local.conn is None
+                assert client._connections == []
+                # The next request opens a fresh connection.
+                assert client.request("GET", "/healthz")[0] == 200
+
+    def test_truncated_body_raises_incomplete_read(self):
+        answer = (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+                  b'{"status": ')
+        with _canned_server(answer) as port:
+            with HttpClient(port=port) as client:
+                with pytest.raises(http.client.IncompleteRead):
+                    client.request("GET", "/healthz")
+                assert client._connections == []
+
+    def test_truncated_head_raises_incomplete_read(self):
+        with _canned_server(b"HTTP/1.1 200 OK\r\nContent-Le") as port:
+            with HttpClient(port=port) as client:
+                with pytest.raises(http.client.IncompleteRead):
+                    client.request("GET", "/healthz")
+
+    def test_no_answer_raises_remote_disconnected(self):
+        with _canned_server(b"") as port:
+            with HttpClient(port=port) as client:
+                with pytest.raises(http.client.RemoteDisconnected):
+                    client.request("GET", "/healthz")
+
+    def test_garbage_status_line_raises_bad_status_line(self):
+        with _canned_server(b"SSH-2.0-OpenSSH\r\n\r\n") as port:
+            with HttpClient(port=port) as client:
+                with pytest.raises(http.client.BadStatusLine):
+                    client.request("GET", "/healthz")
+
+    def test_request_leaves_in_one_send(self, http_setup, monkeypatch):
+        _, shared = http_setup
+        sent = []
+        with HttpClient(port=shared.port) as client:
+            assert client.request("GET", "/healthz")[0] == 200
+            sock = client._local.conn.sock
+            real_sendall = sock.sendall
+
+            class Spy:
+                def __getattr__(self, name):
+                    return getattr(sock, name)
+
+                def sendall(self, data):
+                    sent.append(bytes(data))
+                    return real_sendall(data)
+
+            client._local.conn.sock = Spy()
+            assert client.synthesize(QUERY)["status"] == "ok"
+        assert len(sent) == 1
+        head, _, body = sent[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"POST /synthesize HTTP/1.1\r\n")
+        assert json.loads(body) == {"query": QUERY}
+
+
 class TestRunHttp:
     def test_startup_heap_is_frozen_before_serving(self, monkeypatch):
         import gc
