@@ -211,7 +211,6 @@ class HttpClient:
         host_header = f"[{host}]" if ":" in host else host
         self._host_line = f"Host: {host_header}:{port}\r\n".encode("ascii")
         self._connections: List[_Connection] = []
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Connection management
@@ -219,7 +218,10 @@ class HttpClient:
     def _connection(self, timeout: float) -> _Connection:
         """This thread's persistent connection, created on first use."""
         conn = getattr(self._local, "conn", None)
-        if conn is None:
+        if conn is None or conn.sock is None:
+            # First use, or close() released this thread's socket and
+            # forgot its connection: start (and register) a fresh one,
+            # so the next close() releases the socket it opens.
             conn = _Connection(self.host, self.port, timeout)
             self._local.conn = conn
             with self._lock:
@@ -256,7 +258,6 @@ class HttpClient:
         client remains usable (a subsequent request reconnects)."""
         with self._lock:
             connections, self._connections = self._connections, []
-            self._closed = True
         for conn in connections:
             try:
                 conn.close()

@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cgt import CGT
 from repro.core.dynamic_graph import VIRTUAL, InternedDynamicGraph
-from repro.core.grammar_pruning import conflict_masks_for
 from repro.core.orphan import relocation_variants
 from repro.errors import SynthesisError, SynthesisTimeout
 from repro.grammar.interning import IntPath, interner_for
@@ -330,7 +329,7 @@ class DggtEngine:
         entries: Dict[int, List[CandidatePath]],
         stats: SynthesisStats,
         deadline: Deadline,
-        cache: Optional[PathCache] = None,
+        cache: PathCache,
     ) -> None:
         child_ids = sorted(entries)
         index = dyng.interner.index
@@ -373,23 +372,19 @@ class DggtEngine:
         sibling_lists: Sequence[Tuple[int, List[Tuple[CandidatePath, IntPath, int]]]],
         stats: SynthesisStats,
         deadline: Deadline,
-        cache: Optional[PathCache] = None,
+        cache: PathCache,
     ) -> None:
         interner = dyng.interner
-        graph = interner.graph
         all_encs = [
             rec[1] for _child, recs in sibling_lists for rec in recs
         ]
         if self.config.grammar_pruning:
-            mask_records = conflict_masks_for(graph, all_encs, cache=cache)
+            mask_records = cache.conflict_masks(all_encs)
             check_conflicts = any(mask for _bit, mask in mask_records)
         else:
             mask_records = [(0, 0)] * len(all_encs)
             check_conflicts = False
-        if cache is not None:
-            size_of_enc = cache.size_of_enc
-        else:
-            size_of_enc = interner.size_of_enc
+        size_of_enc = cache.size_of_enc
 
         # Fold the conflict bits, path size, and the per-encoding bitmasks
         # into each record so the enumeration and the merge loop touch
@@ -473,7 +468,7 @@ class DggtEngine:
         weight_mask = interner.weight_mask
         src_bit = 1 << gov_int
         src_api = interner.is_api[gov_int]
-        merge_info = cache.merge_info if cache is not None else None
+        merge_info = cache.merge_info
         for idx, item in enumerate(sized):
             if idx % _DEADLINE_STRIDE == 0:
                 deadline.check()
@@ -513,8 +508,7 @@ class DggtEngine:
                 if src_api and not (sinks & src_bit):
                     tree_cost += 1
                 info = (True, tree_cost)
-            if merge_info is not None:
-                info = merge_info(combo_encs, lambda: info)
+            info = merge_info(combo_encs, lambda: info)
             valid, tree_cost = info
             if not valid:
                 continue  # reconvergent or grammar-conflicting merge

@@ -17,24 +17,21 @@ filters with one ``(bit, mask)`` record per path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.grammar.graph import GrammarGraph
 from repro.grammar.interning import IntPath, interner_for
-from repro.grammar.path_cache import PathCache
 from repro.grammar.path_voted import conflict_enc_pairs, conflict_mask_records
 
 
 def conflict_masks_for(
-    graph: GrammarGraph,
-    encs: Sequence[IntPath],
-    cache: Optional[PathCache] = None,
+    graph: GrammarGraph, encs: Sequence[IntPath]
 ) -> List[Tuple[int, int]]:
     """Per-path ``(bit, mask)`` conflict records for interned encodings.
     A combination conflicts iff, scanning members while accumulating
-    bits, a member's mask intersects the accumulated set.  With a domain
-    :class:`PathCache`, the pair analysis is memoized across queries."""
-    if cache is not None:
-        return cache.conflict_masks(encs)
+    bits, a member's mask intersects the accumulated set.  The engine
+    takes the same records from the domain's
+    :meth:`~repro.grammar.path_cache.PathCache.conflict_masks`, which
+    memoizes the pair analysis across queries."""
     pairs = conflict_enc_pairs(interner_for(graph), set(encs))
     return conflict_mask_records(encs, pairs)

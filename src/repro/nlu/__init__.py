@@ -2,8 +2,9 @@
 
 In the staged pipeline (:mod:`repro.synthesis.stages`), the matcher here
 backs the ``word_to_api`` stage: :func:`build_word_to_api_map` is what
-``WordToApiStage`` runs (via the problem builder) to turn pruned query
-words into ranked API candidates.
+:func:`repro.synthesis.stages.word_to_api` runs (through
+``build_candidates``) to turn pruned query words into ranked API
+candidates.
 """
 
 from repro.nlu.docs import ApiDoc, ApiDocument, split_name

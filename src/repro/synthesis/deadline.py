@@ -26,6 +26,10 @@ class Deadline:
         # treat 0 as "no time at all", never as "unlimited".
         self.budget_seconds = budget_seconds
         self._start = time.monotonic()
+        #: Monotonic time at which the budget runs out (None: unlimited).
+        self.expires_at = (
+            None if budget_seconds is None else self._start + budget_seconds
+        )
 
     @classmethod
     def unlimited(cls) -> "Deadline":
@@ -38,14 +42,19 @@ class Deadline:
     @property
     def expired(self) -> bool:
         return (
-            self.budget_seconds is not None
-            and self.elapsed >= self.budget_seconds
+            self.expires_at is not None
+            and time.monotonic() >= self.expires_at
         )
 
     def check(self) -> None:
         """Raise :class:`SynthesisTimeout` when the budget is exhausted."""
-        if self.expired:
-            raise SynthesisTimeout(self.budget_seconds, self.elapsed)
+        self.check_at(time.monotonic())
+
+    def check_at(self, now: float) -> None:
+        """:meth:`check` against a ``time.monotonic()`` reading the caller
+        already took (the stage runner times its span from the same one)."""
+        if self.expires_at is not None and now >= self.expires_at:
+            raise SynthesisTimeout(self.budget_seconds, now - self._start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         budget = "unlimited" if self.budget_seconds is None else f"{self.budget_seconds}s"

@@ -3,33 +3,39 @@
 The paper's Fig. 3 pipeline used to exist only implicitly —
 ``build_problem`` hardwired Steps 1-4 and the engines hid Steps 5-6 — so
 the only measurable quantity was whole-query latency.  This module makes
-the six stages first-class:
+the six stages first-class, each one a plain function call run by
+:func:`run_stage`:
 
-======  ==============  ==================================================
-Step    stage name      implementation
-======  ==============  ==================================================
-1       ``parse``       :func:`repro.nlp.parser.parse_query`
-2       ``prune``       :func:`repro.nlp.pruning.prune_query_graph`
-3       ``word_to_api`` :func:`repro.synthesis.problem.build_candidates`
-4       ``edge_to_path`` :class:`repro.synthesis.problem.SynthesisProblem`
-5       ``merge``       ``engine.search()`` (HISyn enumeration / DGGT DP)
-6       ``codegen``     :func:`repro.core.expression.cgt_to_expression`
-======  ==============  ==================================================
+======  ================  ================================================
+Step    stage name        function
+======  ================  ================================================
+1       ``parse``         :func:`repro.nlp.parser.parse_query`
+2       ``prune``         :func:`repro.nlp.pruning.prune_query_graph`
+3       ``word_to_api``   :func:`word_to_api` (candidates, then the
+                          candidate-aware prune)
+4       ``edge_to_path``  :class:`repro.synthesis.problem.SynthesisProblem`
+5       ``merge``         ``engine.search`` (HISyn enumeration / DGGT DP)
+6       ``codegen``       :func:`codegen`
+======  ================  ================================================
 
-A :class:`SynthesisContext` (query, domain, deadline, stats, and the
-query's :class:`Trace`) is threaded through every stage; :func:`run_stage`
-wraps each one in a lightweight span — monotonic wall time, deadline
-remaining, deltas of the Table III counters — and attributes cooperative
-timeouts to the stage they fired in (``exc.stage``/``exc.trace``).  Traces
-flow end-to-end: ``SynthesisOutcome.to_json(include_trace=True)``, ``repro
-batch --json --trace``, the serving front ends (``include_trace``
-requests), and the per-stage p50/p99 aggregates in ``GET /stats``
-(:class:`StageLatencyAggregator`).  See docs/architecture.md.
+:func:`run_front_end` makes the first four calls and
+:func:`synthesize_with` the last two.  A :class:`SynthesisContext`
+(query, domain, deadline, stats, and the query's :class:`Trace`) rides
+along; ``run_stage(ctx, name, fn, *args)`` checks the deadline, calls
+``fn(*args)`` and records a lightweight span — monotonic wall time,
+deadline remaining, and, for ``merge`` (the one stage that changes them),
+the deltas of the Table III counters — and attributes cooperative
+timeouts to the stage they fired in (``exc.stage``/``exc.trace``).
+Traces flow end-to-end: ``SynthesisOutcome.to_json(include_trace=True)``,
+``repro batch --json --trace``, the serving front ends
+(``include_trace`` requests), and the per-stage p50/p99 aggregates in
+``GET /stats`` (:class:`StageLatencyAggregator`).  See
+docs/architecture.md.
 
 Spans are always recorded; only their output is opt-in.  A span costs two
-clock reads and a counter snapshot per stage (< 5% on the warm path,
-pinned by benchmarks/test_trace_overhead.py) and never changes the
-synthesis result.
+clock reads per stage, plus a counter snapshot around ``merge`` (< 5% on
+the warm path, pinned by benchmarks/test_trace_overhead.py), and never
+changes the synthesis result.
 """
 
 from __future__ import annotations
@@ -80,10 +86,10 @@ VERIFY_STAGE_NAME = "verify"
 ALL_STAGE_NAMES: Tuple[str, ...] = STAGE_NAMES + (VERIFY_STAGE_NAME,)
 
 
-#: The Table III counters a span snapshots, by as_dict short name, and
-#: the one-call tuple snapshot of the matching SynthesisStats fields.  The
-#: cache-delta fields are set *after* the pipeline runs, so they are
-#: excluded — their deltas through any stage are always zero.
+#: The Table III counters the ``merge`` span snapshots, by as_dict short
+#: name, and the one-call tuple snapshot of the matching SynthesisStats
+#: fields.  The cache-delta fields are set *after* the pipeline runs, so
+#: they are excluded — their deltas through any stage are always zero.
 _COUNTER_NAMES: Tuple[str, ...] = (
     "dep_edges", "orig_paths", "paths_after_reloc", "orphans",
     "reloc_variants", "combinations", "pruned_grammar", "pruned_size",
@@ -193,19 +199,6 @@ class SynthesisContext:
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
 
-class Stage:
-    """Protocol for one pipeline stage: a ``name`` from
-    :data:`STAGE_NAMES` plus ``run(ctx, value)`` taking the previous
-    stage's return value and producing the next one."""
-
-    name: str = "?"
-
-    def run(
-        self, ctx: SynthesisContext, value: Any
-    ) -> Any:  # pragma: no cover - protocol
-        raise NotImplementedError
-
-
 def _mark_timeout(
     exc: SynthesisTimeout, stage_name: str, trace: Trace
 ) -> None:
@@ -222,58 +215,62 @@ def _finish_span(
     ctx: SynthesisContext,
     stage_name: str,
     started: float,
-    counters_before: Tuple[int, ...],
     status: str,
+    counters_before: Optional[Tuple[int, ...]] = None,
 ) -> None:
-    elapsed = time.monotonic() - started
-    after = _stat_counters(ctx.stats)
-    deadline = ctx.deadline
-    remaining = (
-        None
-        if deadline.budget_seconds is None
-        else max(0.0, deadline.budget_seconds - deadline.elapsed)
-    )
-    ctx.trace.spans.append(
-        StageSpan(
-            stage=stage_name,
-            elapsed_seconds=elapsed,
-            deadline_remaining_seconds=remaining,
-            status=status,
-            counters={} if after == counters_before else {
+    """Append one span.  The clock is read once, for both the elapsed
+    time and the deadline remaining; counter deltas are taken only when
+    ``counters_before`` was snapshotted (the ``merge`` stage)."""
+    now = time.monotonic()
+    expires_at = ctx.deadline.expires_at
+    counters: Dict[str, int] = {}
+    if counters_before is not None:
+        after = _stat_counters(ctx.stats)
+        if after != counters_before:
+            counters = {
                 name: value - before
                 for name, value, before in zip(
                     _COUNTER_NAMES, after, counters_before
                 )
                 if value != before
-            },
+            }
+    ctx.trace.spans.append(
+        StageSpan(
+            stage_name,
+            now - started,
+            None if expires_at is None else max(0.0, expires_at - now),
+            status,
+            counters,
         )
     )
 
 
-def run_stage(ctx: SynthesisContext, stage: Stage, value: Any) -> Any:
-    """Run one stage under the context's deadline and trace.
+def run_stage(ctx: SynthesisContext, name: str, fn, *args) -> Any:
+    """Run ``fn(*args)`` as stage ``name`` under the context's deadline
+    and trace.
 
     The deadline is checked at stage entry, and a
     :class:`SynthesisTimeout` raised anywhere inside the stage is
-    attributed to it (``exc.stage`` and ``exc.trace``).
+    attributed to it (``exc.stage`` and ``exc.trace``).  Only ``merge``
+    changes the Table III counters, so only its span snapshots them.
     """
     started = time.monotonic()
-    counters_before = _stat_counters(ctx.stats)
+    before = _stat_counters(ctx.stats) if name == "merge" else None
     try:
-        ctx.deadline.check()
-        result = stage.run(ctx, value)
+        ctx.deadline.check_at(started)
+        result = fn(*args)
     except SynthesisTimeout as exc:
-        _finish_span(ctx, stage.name, started, counters_before, "timeout")
-        _mark_timeout(exc, stage.name, ctx.trace)
+        _finish_span(ctx, name, started, "timeout", before)
+        _mark_timeout(exc, name, ctx.trace)
         raise
     except Exception as exc:
-        _finish_span(ctx, stage.name, started, counters_before, "error")
+        _finish_span(ctx, name, started, "error", before)
         if isinstance(exc, ReproError) and getattr(exc, "trace", None) is None:
             exc.trace = ctx.trace
         raise
-    _finish_span(ctx, stage.name, started, counters_before, "ok")
+    _finish_span(ctx, name, started, "ok", before)
     if ctx.keep_artifacts:
-        ctx.artifacts[stage.name] = result
+        ctx.artifacts[name] = result
     return result
 
 
@@ -288,7 +285,7 @@ def record_span(
     that already synthesized successfully — it falls back instead, so the
     run_stage entry check would be wrong for it).
     """
-    _finish_span(ctx, stage_name, started, _stat_counters(ctx.stats), status)
+    _finish_span(ctx, stage_name, started, status)
 
 
 def check_stage_entry(ctx: SynthesisContext, stage_name: str) -> None:
@@ -302,130 +299,68 @@ def check_stage_entry(ctx: SynthesisContext, stage_name: str) -> None:
     try:
         ctx.deadline.check()
     except SynthesisTimeout as exc:
-        _finish_span(
-            ctx, stage_name, time.monotonic(), _stat_counters(ctx.stats),
-            "timeout",
-        )
+        _finish_span(ctx, stage_name, time.monotonic(), "timeout")
         _mark_timeout(exc, stage_name, ctx.trace)
         raise
 
 
 # ---------------------------------------------------------------------------
-# Front-end stages (Steps 1-4)
+# The stage bodies and the two runners
 # ---------------------------------------------------------------------------
 
 
-class ParseStage(Stage):
-    """Step 1 — dependency parsing of the raw query."""
-
-    name = "parse"
-
-    def run(self, ctx: SynthesisContext, value: Any):
-        return parse_query(ctx.query)
-
-
-class PruneStage(Stage):
-    """Step 2 — query-graph pruning with the domain's prune config."""
-
-    name = "prune"
-
-    def run(self, ctx: SynthesisContext, dep):
-        return prune_query_graph(dep, ctx.domain.prune_config)
-
-
-class WordToApiStage(Stage):
+def word_to_api(domain, pruned, query: str):
     """Step 3 — endpoint candidates per word, then the candidate-aware
-    prune (words matching no API are non-essential)."""
-
-    name = "word_to_api"
-
-    def run(self, ctx: SynthesisContext, pruned):
-        candidates = build_candidates(ctx.domain, pruned)
-        pruned = drop_candidateless(pruned, candidates)
-        if not candidates.get(pruned.root):
-            raise SynthesisError(
-                f"no API candidates for any word of {ctx.query!r}; "
-                "cannot start synthesis"
-            )
-        remaining = {
-            n.node_id: candidates[n.node_id]
-            for n in pruned.nodes()
-            if n.node_id in candidates
-        }
-        return (pruned, remaining)
-
-
-class EdgeToPathStage(Stage):
-    """Step 4 — the reversed all-path search per dependency edge
-    (constructing a :class:`SynthesisProblem` runs it eagerly)."""
-
-    name = "edge_to_path"
-
-    def run(self, ctx: SynthesisContext, value):
-        pruned, candidates = value
-        return SynthesisProblem(
-            ctx.domain, pruned, candidates, ctx.limits, ctx.deadline
+    prune (words matching no API are non-essential).  Returns the pruned
+    graph and the candidates of the nodes it kept."""
+    candidates = build_candidates(domain, pruned)
+    pruned = drop_candidateless(pruned, candidates)
+    if not candidates.get(pruned.root):
+        raise SynthesisError(
+            f"no API candidates for any word of {query!r}; "
+            "cannot start synthesis"
         )
+    remaining = {
+        n.node_id: candidates[n.node_id]
+        for n in pruned.nodes()
+        if n.node_id in candidates
+    }
+    return pruned, remaining
 
 
-#: The four front-end stages are stateless — one shared instance each.
-FRONT_END_STAGES: Tuple[Stage, ...] = (
-    ParseStage(),
-    PruneStage(),
-    WordToApiStage(),
-    EdgeToPathStage(),
-)
+def codegen(
+    query: str, engine_name: str, graph, cgt, stats: SynthesisStats,
+    trace: Optional[Trace] = None,
+) -> SynthesisOutcome:
+    """Step 6 — render the optimal CGT as a codelet expression.  Engine
+    independent: both back ends share this code path verbatim."""
+    return SynthesisOutcome(
+        query=query,
+        engine=engine_name,
+        expression=cgt_to_expression(cgt, graph),
+        cgt=cgt,
+        size=cgt.api_count(graph),
+        stats=stats,
+        trace=trace,
+    )
 
 
 def run_front_end(ctx: SynthesisContext):
     """Steps 1-4: query text in, engine-ready
-    :class:`~repro.synthesis.problem.SynthesisProblem` out."""
-    value: Any = None
-    for stage in FRONT_END_STAGES:
-        value = run_stage(ctx, stage, value)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Engine stages (Steps 5-6)
-# ---------------------------------------------------------------------------
-
-
-class MergeStage(Stage):
-    """Step 5 — the optimal-CGT search, engine-specific: exhaustive
-    enumeration (HISyn) or the dynamic program over relocation variants
-    (DGGT).  Fills the Table III counters in ``ctx.stats``."""
-
-    name = "merge"
-
-    def __init__(self, engine):
-        self.engine = engine
-
-    def run(self, ctx: SynthesisContext, problem):
-        return self.engine.search(problem, ctx.deadline, ctx.stats)
-
-
-class CodegenStage(Stage):
-    """Step 6 — render the optimal CGT as a codelet expression.  Engine
-    independent: both back ends share this code path verbatim."""
-
-    name = "codegen"
-
-    def __init__(self, engine_name: str):
-        self.engine_name = engine_name
-
-    def run(self, ctx: SynthesisContext, value):
-        problem, cgt = value
-        graph = problem.domain.graph
-        return SynthesisOutcome(
-            query=ctx.query,
-            engine=self.engine_name,
-            expression=cgt_to_expression(cgt, graph),
-            cgt=cgt,
-            size=cgt.api_count(graph),
-            stats=ctx.stats,
-            trace=ctx.trace,
-        )
+    :class:`~repro.synthesis.problem.SynthesisProblem` out (constructing
+    it runs the reversed all-path search per dependency edge)."""
+    domain = ctx.domain
+    dep = run_stage(ctx, "parse", parse_query, ctx.query)
+    pruned = run_stage(
+        ctx, "prune", prune_query_graph, dep, domain.prune_config
+    )
+    pruned, candidates = run_stage(
+        ctx, "word_to_api", word_to_api, domain, pruned, ctx.query
+    )
+    return run_stage(
+        ctx, "edge_to_path", SynthesisProblem,
+        domain, pruned, candidates, ctx.limits, ctx.deadline,
+    )
 
 
 def synthesize_with(
@@ -435,10 +370,12 @@ def synthesize_with(
     ctx: Optional[SynthesisContext] = None,
 ) -> SynthesisOutcome:
     """Steps 5-6 for one engine: the shared body behind both engines'
-    ``synthesize``.  When ``ctx`` is None (engines called directly on a
-    pre-built problem, the pre-refactor API) a minimal context is built
-    around ``deadline``; otherwise ``ctx`` carries the deadline and the
-    spans land in its trace."""
+    ``synthesize``.  ``merge`` is ``engine.search`` (HISyn enumeration or
+    the DGGT dynamic program), which fills the Table III counters in
+    ``ctx.stats``.  When ``ctx`` is None (engines called directly on a
+    pre-built problem) a minimal context is built around ``deadline``;
+    otherwise ``ctx`` carries the deadline and the spans land in its
+    trace."""
     started = time.monotonic()
     if ctx is None:
         ctx = SynthesisContext(
@@ -448,8 +385,13 @@ def synthesize_with(
                 deadline if deadline is not None else Deadline.unlimited()
             ),
         )
-    cgt = run_stage(ctx, MergeStage(engine), problem)
-    outcome = run_stage(ctx, CodegenStage(engine.name), (problem, cgt))
+    cgt = run_stage(
+        ctx, "merge", engine.search, problem, ctx.deadline, ctx.stats
+    )
+    outcome = run_stage(
+        ctx, "codegen", codegen, ctx.query, engine.name,
+        problem.domain.graph, cgt, ctx.stats, ctx.trace,
+    )
     outcome.elapsed_seconds = time.monotonic() - started
     return outcome
 

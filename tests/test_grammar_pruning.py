@@ -7,6 +7,7 @@ from repro.core.dynamic_graph import InternedDynamicGraph
 from repro.core.grammar_pruning import conflict_masks_for
 from repro.grammar.graph import api_id
 from repro.grammar.interning import interner_for
+from repro.grammar.path_cache import PathCache
 from repro.grammar.path_voted import conflict_mask_records
 from repro.grammar.paths import find_paths_between_apis
 from repro.synthesis.deadline import Deadline
@@ -45,7 +46,8 @@ def scan_conflicts(records):
 
 def group_stats(graph, sibling_paths):
     """Run one Case II sibling group (one list of candidate paths per
-    child, every path from the same governor) and return its counters."""
+    child, every path from the same governor) over a new ``PathCache``,
+    the cache a Domain on ``graph`` holds, and return its counters."""
     interner = interner_for(graph)
     dyng = InternedDynamicGraph(interner)
     sibling_lists = []
@@ -60,7 +62,7 @@ def group_stats(graph, sibling_paths):
     stats = SynthesisStats()
     DggtEngine()._process_sibling_group(
         dyng, 0, gov, interner.index[gov.node_id], sibling_lists, stats,
-        Deadline(),
+        Deadline(), PathCache(graph),
     )
     return stats
 

@@ -44,8 +44,11 @@ def http_setup():
         ServerConfig(domains=("textediting", "astmatcher"))
     )
     server = start_http_server(service, port=0)
-    yield service, HttpClient(port=server.port)
+    client = HttpClient(port=server.port)
+    yield service, client
+    client.close()
     server.shutdown()
+    server.server_close()
     service.begin_shutdown()
     assert service.drain(grace_seconds=10) is True
     service.close()
@@ -523,6 +526,7 @@ class TestQueueing:
             inflight.join(30)
             queued.join(30)
             server.shutdown()
+            server.server_close()
         assert results["inflight"][0] == 200
         assert results["queued"][0] == 200
         assert service.stats()["scheduler"]["counters"]["shed"] == 1
@@ -565,6 +569,7 @@ class TestQueueing:
             release.set()
             thread.join(30)
             server.shutdown()
+            server.server_close()
         service.begin_shutdown()
         assert service.drain(grace_seconds=10) is True
         service.close()
@@ -683,7 +688,9 @@ class TestClientRetry:
             release.set()
             inflight.join(30)
             queued.join(30)
+            client.close()
             server.shutdown()
+            server.server_close()
         service.begin_shutdown()
         assert service.drain(grace_seconds=10) is True
         service.close()
@@ -703,8 +710,8 @@ class TestClientRetry:
         assert entered.wait(10)
         releaser = threading.Timer(0.2, release.set)
         releaser.start()
+        client = HttpClient(port=server.port, retries=20, backoff=0.05)
         try:
-            client = HttpClient(port=server.port, retries=20, backoff=0.05)
             payload = client.synthesize(QUERY)
             assert payload["status"] == "ok"
             # Non-overload errors are never retried.
@@ -715,7 +722,9 @@ class TestClientRetry:
             releaser.cancel()
             release.set()
             inflight.join(30)
+            client.close()
             server.shutdown()
+            server.server_close()
         service.begin_shutdown()
         assert service.drain(grace_seconds=10) is True
         service.close()
@@ -801,7 +810,9 @@ class TestReload:
                 payload["error"]["message"]
             )
         finally:
+            client.close()
             server.shutdown()
+            server.server_close()
             service.begin_shutdown()
             assert service.drain(grace_seconds=10) is True
             service.close()
@@ -1058,7 +1069,9 @@ class TestHttp:
                 client.synthesize(QUERY)
             assert info.value.code == "shutting_down"
         finally:
+            client.close()
             server.shutdown()
+            server.server_close()
             service.close()
 
 
@@ -1107,9 +1120,12 @@ class TestHttpClientKeepAlive:
         assert len(client._connections) == 1
         client.close()
         assert client._connections == []
-        # close() is not a poison pill: the next request reconnects.
+        # close() is not a poison pill: the next request reconnects,
+        # and the next close() releases that socket too.
         assert client.request("GET", "/healthz")[0] == 200
+        [conn] = client._connections
         client.close()
+        assert conn.sock is None and client._connections == []
 
     def test_close_covers_other_threads_connections(self, http_setup):
         _, shared = http_setup
@@ -1777,9 +1793,11 @@ class TestServeProcess:
             assert payload["codelet"] == direct.codelet
             assert client.health()["status"] == "ok"
         finally:
+            client.close()
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)
-        stderr = proc.stderr.read()
+        with proc.stderr:
+            stderr = proc.stderr.read()
         assert code == 0, stderr
         assert "drained and exited" in stderr
 
@@ -1811,6 +1829,9 @@ class TestServeProcess:
             assert payload["status"] == "ok"
             assert payload["queue_wait_ms"] == 0.0
         finally:
+            client.close()
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)
-        assert code == 0, proc.stderr.read()
+        with proc.stderr:
+            stderr = proc.stderr.read()
+        assert code == 0, stderr

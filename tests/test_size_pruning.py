@@ -5,6 +5,7 @@ from repro.core.dggt import DggtEngine
 from repro.core.dynamic_graph import InternedDynamicGraph
 from repro.grammar.graph import api_id
 from repro.grammar.interning import interner_for
+from repro.grammar.path_cache import PathCache
 from repro.grammar.paths import find_paths_between_apis
 from repro.synthesis.deadline import Deadline
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
@@ -24,7 +25,8 @@ def merge_group(graph, combo, subtrees=()):
     """Merge one combination as a sibling group and return the size of
     the resulting partial CGT.  Each child is an API leaf (min_size 1),
     extended first by the path in ``subtrees`` that starts at it, if
-    any."""
+    any.  The group runs over a new ``PathCache``, the cache a Domain on
+    ``graph`` holds."""
     interner = interner_for(graph)
     dyng = InternedDynamicGraph(interner)
     below = {sub.src: sub for sub in subtrees}
@@ -47,7 +49,8 @@ def merge_group(graph, combo, subtrees=()):
     gov = combo[0].src_candidate
     gov_int = interner.index[gov.node_id]
     DggtEngine()._process_sibling_group(
-        dyng, 0, gov, gov_int, sibling_lists, SynthesisStats(), Deadline()
+        dyng, 0, gov, gov_int, sibling_lists, SynthesisStats(), Deadline(),
+        PathCache(graph),
     )
     return dyng.optimal(0, gov_int)[2]
 

@@ -22,7 +22,6 @@ from repro.synthesis.stages import (
     ENGINE_STAGE_NAMES,
     FRONT_END_STAGE_NAMES,
     STAGE_NAMES,
-    Stage,
     StageLatencyAggregator,
     StageSpan,
     SynthesisContext,
@@ -68,12 +67,20 @@ class TestSpans:
         assert "trace" not in out.to_json()
 
     def test_merge_span_carries_counter_deltas(self):
-        out = fresh_synth().synthesize(QUERY)
-        merge = out.trace.span("merge")
-        assert merge.counters["dep_edges"] == out.stats.n_dep_edges
-        assert merge.counters["merged"] == out.stats.n_merged
-        # Front-end stages touch no Table III counters.
-        assert out.trace.span("parse").counters == {}
+        # Only merge changes the Table III counters, so only its span
+        # carries them: exactly the non-zero ones of the query's stats.
+        for engine in ("dggt", "hisyn"):
+            out = fresh_synth(engine=engine).synthesize(QUERY)
+            table_iii = {
+                name: value
+                for name, value in out.stats.as_dict().items()
+                if name not in out.stats.CACHE_FIELDS and value
+            }
+            assert table_iii["merged"] == out.stats.n_merged > 0
+            assert out.trace.span("merge").counters == table_iii, engine
+            for span in out.trace.spans:
+                if span.stage != "merge":
+                    assert span.counters == {}, (engine, span.stage)
 
     def test_deadline_remaining_recorded(self):
         out = fresh_synth().synthesize(QUERY, timeout_seconds=30.0)
@@ -165,11 +172,8 @@ class TestTimeoutAttribution:
         assert err.value.trace.timed_out_stage == "merge"
 
     def test_timeout_inside_a_stage_is_attributed_to_it(self):
-        class Boom(Stage):
-            name = "edge_to_path"
-
-            def run(self, ctx, value):
-                raise SynthesisTimeout(1.0, 2.0)
+        def boom():
+            raise SynthesisTimeout(1.0, 2.0)
 
         ctx = SynthesisContext(
             query=QUERY,
@@ -177,7 +181,7 @@ class TestTimeoutAttribution:
             deadline=Deadline.unlimited(),
         )
         with pytest.raises(SynthesisTimeout) as err:
-            run_stage(ctx, Boom(), None)
+            run_stage(ctx, "edge_to_path", boom)
         assert err.value.stage == "edge_to_path"
         assert ctx.trace.timed_out_stage == "edge_to_path"
 
