@@ -185,7 +185,7 @@ class DggtEngine:
         dep = problem.dep_graph
         dyng = InternedDynamicGraph(interner)
         orphans = set(problem.orphan_nodes())
-        cache = problem.domain.path_cache
+        cache = problem.cache
 
         # Bottom-up traversal: deepest governors first (Algorithm 1 line 4).
         order = sorted(
@@ -286,7 +286,6 @@ class DggtEngine:
         ``offer_path`` turns down for a binding conflict or an invalid
         join does not stop the walk.  The counters still count every
         path whose predecessor slot exists."""
-        size_of = dyng.interner.size_of_enc
         offer_path = dyng.offer_path
         slot_get = dyng._slot.get
         sizes = dyng._size
@@ -307,12 +306,12 @@ class DggtEngine:
             for cp in group:
                 slot = slot_get(target)
                 if slot is not None:
-                    size = size_of(cp.enc) + pred_size
+                    size = cp.size + pred_size
                     if size > sizes[slot] or (
                         size == sizes[slot] and rank > ranks[slot]
                     ):
                         break
-                offer_path(gov_dep_id, cp, cp.enc, pred_slot)
+                offer_path(gov_dep_id, cp, cp.enc, cp.size, pred_slot)
         stats.n_combinations += offered
         stats.n_merged += offered
         stats.n_valid_cgts += offered

@@ -230,13 +230,15 @@ class InternedDynamicGraph:
         gov_dep_id: int,
         cp: CandidatePath,
         enc: Tuple[int, ...],
+        size: int,
         pred_slot: int,
     ) -> None:
         """Case I (Algorithm 1 lines 5-11): extend the predecessor slot's
-        optimal partial CGT with one grammar path (no update on a
-        literal-binding conflict or an invalid join)."""
+        optimal partial CGT with one grammar path of encoding ``enc`` and
+        size ``size`` (no update on a literal-binding conflict or an
+        invalid join)."""
         interner = self.interner
-        size = interner.size_of_enc(enc) + self._size[pred_slot]
+        size += self._size[pred_slot]
         rank = cp.src_candidate.rank + self._rank[pred_slot]
         em, _nm, dm, onm, _all = interner.enc_masks(enc)
         em |= self._emask[pred_slot]

@@ -22,7 +22,8 @@ lexicographically.
 
 One interner is built per :class:`GrammarGraph` and cached on the graph
 object (:func:`interner_for`); everything it memoizes is a pure function
-of the graph.
+of the graph.  It keeps no per-path size memo: the path search returns
+each kept path's interior weight with its encoding.
 """
 
 from __future__ import annotations
@@ -97,9 +98,6 @@ class GraphInterner:
             for pred in node_preds:
                 succs[pred].append(node)
         self.succs: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, succs))
-        self._path_memo: Dict[Tuple[str, ...], IntPath] = {}
-        self._edges_memo: Dict[IntPath, Tuple[int, ...]] = {}
-        self._size_memo: Dict[IntPath, int] = {}
         # Dense edge-bit table for the bitmask validity algebra: each
         # distinct edge code gets the next free bit on first sight, so
         # per-path edge sets become ints unioned with one OR.  The or-edge
@@ -132,24 +130,6 @@ class GraphInterner:
     # ------------------------------------------------------------------
     # Encoding / decoding
     # ------------------------------------------------------------------
-
-    def path_ints(self, nodes: Tuple[str, ...]) -> IntPath:
-        """Interned encoding of a path's node-id tuple (memoized)."""
-        cached = self._path_memo.get(nodes)
-        if cached is None:
-            index = self.index
-            cached = tuple(index[node_id] for node_id in nodes)
-            self._path_memo[nodes] = cached
-        return cached
-
-    def path_edges(self, enc: IntPath) -> Tuple[int, ...]:
-        """The path's consecutive edges as int codes (memoized)."""
-        cached = self._edges_memo.get(enc)
-        if cached is None:
-            n = self.n
-            cached = tuple(a * n + b for a, b in zip(enc, enc[1:]))
-            self._edges_memo[enc] = cached
-        return cached
 
     def enc_masks(self, enc: IntPath) -> Tuple[int, int, int, int, int]:
         """The path's bitmask record ``(edges, tree_nodes, children,
@@ -228,15 +208,9 @@ class GraphInterner:
     def size_of_enc(self, enc: IntPath) -> int:
         """``GrammarPath.size`` of an encoded path: interior API weights
         plus 1 when the source endpoint is an API (a word resolved to it,
-        so it is never a free generic).  Memoized per encoding."""
-        cached = self._size_memo.get(enc)
-        if cached is None:
-            weight = self.weight
-            cached = sum(weight[i] for i in enc[1:-1])
-            if self.is_api[enc[0]]:
-                cached += 1
-            self._size_memo[enc] = cached
-        return cached
+        so it is never a free generic)."""
+        weight = self.weight
+        return sum(weight[i] for i in enc[1:-1]) + self.is_api[enc[0]]
 
     # ------------------------------------------------------------------
     # Reachability (int-space BFS over the successor table)

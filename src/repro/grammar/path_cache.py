@@ -19,17 +19,19 @@ the domain's :class:`~repro.grammar.interning.GraphInterner` encodings
 them as flat arrays:
 
 ``paths``
-    ``(src_int, dst_int, limits.cache_key())`` -> the pair's paths as
-    int encodings, in discovery order.  Nothing is decoded here: node-id
-    strings and :class:`GrammarPath` objects are built per edge, only for
-    the paths the per-edge cap keeps (``edges`` below).
+    ``(src_int, dst_int, limits.cache_key())`` -> ``(encodings, sizes)``:
+    the pair's paths as int encodings in discovery order, and aligned
+    with them each path's ``GrammarPath.size`` — the interior weight the
+    search returns, plus 1 when the source is an API.  Nothing is decoded
+    here: node-id strings and :class:`GrammarPath` objects are built per
+    edge, only for the paths the per-edge cap keeps (``edges`` below).
 ``conflicts``
     frozenset of path encodings -> conflict pairs expressed over
     encodings (path *ids* are per-query labels, so they cannot key a
     cross-query cache; the interned node sequence is the stable
     identity), turned into the engine's per-path bitmask records.
 ``sizes``
-    path encoding -> ``GrammarPath.size(graph)``.
+    path encoding -> ``GrammarPath.size(graph)`` (DGGT Case II only).
 ``merge``
     an opaque memo keyed by a combination's path encodings; the DGGT
     engine stores (validity, exact tree cost) of a sibling-combination
@@ -40,10 +42,10 @@ them as flat arrays:
 ``edges``
     ``(endpoint node-id pairs, limits.cache_key(), catalog edge number)``
     -> one dependency edge's capped, labeled candidate paths with their
-    encodings, owning pairs, and each pair's kept paths lightest first,
-    built by :class:`~repro.synthesis.problem.SynthesisProblem`.  Literal
-    variants of a query resolve to the same endpoints, so they skip the
-    cap's sort, the decoding and the relabeling.  A fixed size, no
+    encodings, sizes, owning pairs, and each pair's kept paths lightest
+    first, built by :class:`~repro.synthesis.problem.SynthesisProblem`.
+    Literal variants of a query resolve to the same endpoints, so they
+    skip the cap's sort, the decoding and the relabeling.  A fixed size, no
     environment override, never persisted and not part of
     :meth:`snapshot`.
 
@@ -101,6 +103,10 @@ from repro.grammar.path_voted import (
 #: Distinguishes "key absent" from a cached falsy value (empty path lists
 #: are common and perfectly cacheable).
 _MISSING = object()
+
+#: One endpoint pair's search result: the kept paths' encodings and,
+#: aligned with them, their sizes.
+PairPaths = Tuple[Tuple[IntPath, ...], Tuple[int, ...]]
 
 
 #: Layer name -> LRU capacity.  One fixed table: every domain's cache
@@ -221,9 +227,11 @@ class PathCache:
         dst_id: str,
         limits: Optional[PathSearchLimits] = None,
         on_miss: Optional[Callable[[], None]] = None,
-    ) -> Tuple[IntPath, ...]:
-        """Memoized reversed all-path search for one endpoint pair, as
-        interned encodings in discovery order.
+    ) -> PairPaths:
+        """Memoized reversed all-path search for one endpoint pair:
+        ``(encodings, sizes)``, the interned encodings in discovery order
+        and each path's ``GrammarPath.size`` (the search's interior
+        weight, plus 1 when the source is an API).
 
         ``on_miss`` runs before a cache-missing search (the problem layer
         passes its deadline check, so cache hits never pay the clock read
@@ -233,23 +241,26 @@ class PathCache:
         without touching the cache.
         """
         limits = limits or PathSearchLimits()
-        index = self.interner.index
-        src_int = index.get(src_id)
-        dst_int = index.get(dst_id)
+        interner = self.interner
+        src_int = interner.index.get(src_id)
+        dst_int = interner.index.get(dst_id)
         if src_int is None or dst_int is None:
-            return ()
+            return ((), ())
         key = (src_int, dst_int, limits.cache_key())
-        encs = self.paths.get(key)
-        if encs is not _MISSING:
-            return encs
+        entry = self.paths.get(key)
+        if entry is not _MISSING:
+            return entry
         if on_miss is not None:
             on_miss()
         if src_int == dst_int:
-            encs = ((src_int,),)
+            encs, weights = [(src_int,)], [0]
         else:
-            encs = tuple(_search_enc(self.interner, src_int, dst_int, limits))
-        self.paths.put(key, encs)
-        return encs
+            encs, weights = _search_enc(interner, src_int, dst_int, limits)
+        if interner.is_api[src_int]:
+            weights = [w + 1 for w in weights]
+        entry = (tuple(encs), tuple(weights))
+        self.paths.put(key, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Conflict-pair layer
@@ -369,10 +380,11 @@ class PathCache:
 #: Bump when the snapshot payload layout changes; readers reject other
 #: versions rather than guessing.  Version 2 switched every persisted
 #: layer to interned int keys/encodings (version-1 snapshots carried
-#: string node tuples and raw GrammarPath objects; loading one here
-#: would mis-key every layer, so :func:`read_snapshot` rejects it and
-#: ``cache warm`` regenerates).
-SNAPSHOT_FORMAT_VERSION = 2
+#: string node tuples and raw GrammarPath objects); version 3 stores
+#: ``(encodings, sizes)`` per ``paths`` entry.  An older file would
+#: mis-key or mis-shape a layer, so :func:`read_snapshot` rejects it and
+#: ``cache warm`` regenerates.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: Snapshot file suffix (one file per (domain, grammar hash)).
 SNAPSHOT_SUFFIX = ".dggtcache"

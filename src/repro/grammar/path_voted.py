@@ -135,11 +135,10 @@ def conflict_enc_pairs(
     cache layer keys on.
     """
     votes: Dict[int, Set[IntPath]] = defaultdict(set)
-    path_edges = interner.path_edges
-    for enc in encs:
-        for code in path_edges(enc):
-            votes[code].add(enc)
     n = interner.n
+    for enc in encs:
+        for a, b in zip(enc, enc[1:]):
+            votes[a * n + b].add(enc)
     or_lists = interner.or_group_lists
     pairs: Set[FrozenSet[IntPath]] = set()
     for nt in {code // n for code in votes} & set(or_lists):

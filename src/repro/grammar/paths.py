@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.grammar.graph import GrammarGraph, NodeKind
 from repro.grammar.interning import GraphInterner, interner_for
@@ -162,7 +162,7 @@ def find_paths(
     if src_id == dst_id:
         return [GrammarPath("?", (src_id,))]
     interner = interner_for(graph)
-    encs = _search_enc(
+    encs, _weights = _search_enc(
         interner, interner.index[src_id], interner.index[dst_id], limits
     )
     decode = interner.decode_nodes
@@ -174,7 +174,7 @@ def _search_enc(
     src: int,
     dst: int,
     limits: PathSearchLimits,
-) -> List[Tuple[int, ...]]:
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """The reversed all-path search in interned int space.
 
     Semantics (what :func:`_search_dfs` computes): iterative deepening
@@ -208,12 +208,14 @@ def _search_enc(
     source, and a per-source memo costs far more memory than it saves).
 
     ``tests/data/paths_golden.jsonl`` pins the exact output of this
-    search for every endpoint pair the four suites search.  Returns
-    encodings; callers decode (or cache the encodings directly).
+    search for every endpoint pair the four suites search.  Returns the
+    kept paths' encodings and their interior weights (the trim key both
+    ways of searching carry); callers decode (or cache the encodings
+    directly).
     """
     dist = interner.dist_from(src)
     if dist[dst] < 0 or dist[dst] + 1 > limits.max_path_len:
-        return []
+        return [], []
     dag = interner.dag_slot
     if dag is None or dag.src != src or dag.k != limits.max_paths:
         dag = ShortestPathDag(interner, src, limits.max_paths)
@@ -376,9 +378,11 @@ class ShortestPathDag:
                 )
         return lists[v]
 
-    def best(self, dst: int, max_visits: int) -> List[Tuple[int, ...]]:
+    def best(
+        self, dst: int, max_visits: int
+    ) -> Tuple[List[Tuple[int, ...]], List[int]]:
         """Round 1's result for ``dst`` (which must already be counted):
-        the k best kept paths, in DFS order.
+        the k best kept paths in DFS order, and their interior weights.
 
         The visit cap keeps the paths whose ``src`` visit has DFS preorder
         number ``<= max_visits``: a prefix of the DFS order.  When
@@ -416,8 +420,11 @@ class ShortestPathDag:
                         r_pre += off
                     break
             kept = _merge_kbest(pieces, self.k)
-        ranks = sorted(rank for _w, group in kept for rank in group)
-        return [self.unrank(dst, rank) for rank in ranks]
+        ranked = sorted((rank, w) for w, group in kept for rank in group)
+        return (
+            [self.unrank(dst, rank) for rank, _w in ranked],
+            [w for _rank, w in ranked],
+        )
 
     def unrank(self, dst: int, rank: int) -> Tuple[int, ...]:
         """The ``(src, ..., dst)`` encoding of ``dst``'s path ``rank``."""
@@ -443,9 +450,9 @@ def _search_dfs(
     src: int,
     dst: int,
     limits: PathSearchLimits,
-) -> List[Tuple[int, ...]]:
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """The search by depth-first enumeration (all rounds; the semantics
-    :func:`_search_enc` states).
+    :func:`_search_enc` states), with the kept paths' interior weights.
 
     Two mechanical choices keep the hot loop tight:
 
@@ -566,8 +573,9 @@ def _search_dfs(
         dec = sorted(zip(rsizes, map(len, results), range(len(results))))
         keep = sorted(j for _size, _len, j in dec[:max_paths])
         results = [results[j] for j in keep]
+        rsizes = [rsizes[j] for j in keep]
     src_t = (src,)
-    return [src_t + tuple(reversed(raw)) for raw in results]
+    return [src_t + tuple(reversed(raw)) for raw in results], rsizes
 
 
 def find_paths_between_apis(
@@ -603,21 +611,11 @@ def find_paths_from_start(
 class PathCatalog:
     """Assigns the paper's ``<edge>.<k>`` identifiers to grammar paths.
 
-    One catalog is created per query; dependency edges are registered in
-    traversal order and each edge's candidate paths get ids ``e.1, e.2, ...``
-    exactly as in the paper's figures.
+    A query numbers its dependency edges in traversal order
+    (:class:`~repro.synthesis.problem.SynthesisProblem`), and each edge's
+    candidate paths get ids ``e.1, e.2, ...`` exactly as in the paper's
+    figures.
     """
-
-    def __init__(self) -> None:
-        self._by_id: Dict[str, GrammarPath] = {}
-        self._edge_count = 0
-
-    def register_edge(self, paths: Iterable[GrammarPath]) -> List[GrammarPath]:
-        """Register one dependency edge's candidate paths; returns them with
-        their final ids assigned."""
-        return self.adopt_edge(
-            self.label(self._edge_count + 1, (path.nodes for path in paths))
-        )
 
     @staticmethod
     def label(
@@ -628,25 +626,3 @@ class PathCatalog:
             GrammarPath(f"{edge}.{k}", nodes)
             for k, nodes in enumerate(node_tuples, start=1)
         ]
-
-    def adopt_edge(self, labeled: Sequence[GrammarPath]) -> List[GrammarPath]:
-        """Register the next edge's paths, already labeled by
-        :meth:`label` with that edge's number."""
-        self._edge_count += 1
-        by_id = self._by_id
-        for path in labeled:
-            by_id[path.path_id] = path
-        return list(labeled)
-
-    def get(self, path_id: str) -> GrammarPath:
-        return self._by_id[path_id]
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    @property
-    def n_edges(self) -> int:
-        return self._edge_count
-
-    def all_paths(self) -> List[GrammarPath]:
-        return list(self._by_id.values())

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import field
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.compat import slotted_dataclass
 from repro.grammar.graph import GrammarGraph, api_id
 from repro.grammar.interning import IntPath
+from repro.grammar.path_cache import PairPaths, PathCache
 from repro.grammar.paths import (
     GrammarPath,
     PathCatalog,
@@ -64,13 +65,15 @@ class CandidatePath:
     per (edge, governor candidate, dependent candidate, path).
 
     ``enc`` is the path's interned encoding, which the DGGT engine works
-    on; :class:`SynthesisProblem` fills it.  It is derived from ``path``,
-    so it takes no part in equality."""
+    on, and ``size`` its ``GrammarPath.size`` as the path search returned
+    it; :class:`SynthesisProblem` fills both.  They are derived from
+    ``path``, so they take no part in equality."""
 
     path: GrammarPath
     src_candidate: EndpointCandidate  # governor side (or grammar start)
     dst_candidate: EndpointCandidate  # dependent side
     enc: IntPath = field(default=(), compare=False, repr=False)
+    size: int = field(default=0, compare=False, repr=False)
 
     @property
     def path_id(self) -> str:
@@ -103,6 +106,9 @@ def start_candidate(graph: GrammarGraph) -> EndpointCandidate:
 #: engine's Case I walks.
 PairGroups = Tuple[Tuple[CandidatePath, ...], ...]
 
+#: An endpoint pair that may not be searched (both ends one node).
+_NO_PATHS: PairPaths = ((), ())
+
 
 class SynthesisProblem:
     """All per-query inputs either engine needs."""
@@ -114,23 +120,30 @@ class SynthesisProblem:
         candidates: Mapping[int, List[EndpointCandidate]],
         limits: Optional[PathSearchLimits] = None,
         deadline=None,
-        path_cache: Optional[Dict[Tuple[str, str], Sequence[IntPath]]] = None,
+        path_cache: Optional[Dict[Tuple[str, str], PairPaths]] = None,
+        cache: Optional[PathCache] = None,
     ):
         self.domain = domain
+        # The domain cache, bound once (or handed over by the problem
+        # this one varies): a hot cache reload swaps ``domain.path_cache``,
+        # and a request already under way finishes against the cache it
+        # started with, as ``Domain.reload_cache`` promises.
+        self.cache = cache if cache is not None else domain.path_cache
         self.dep_graph = dep_graph
         self.candidates: Dict[int, List[EndpointCandidate]] = {
             k: list(v) for k, v in candidates.items()
         }
         self.limits = limits or domain.path_limits
         self.deadline = deadline
-        # (src, dst) -> raw path encodings.  A per-problem overlay (shared
-        # with relocation variants) over the domain-wide LRU in
-        # ``domain.path_cache``: the overlay needs no locking and no limits
-        # in its key; the domain cache persists pair results across queries.
-        self._path_cache: Dict[Tuple[str, str], Sequence[IntPath]] = (
+        # (src, dst) -> raw (encodings, sizes).  A per-problem overlay
+        # (shared with relocation variants) over the domain-wide LRU in
+        # ``self.cache``: the overlay needs no locking and no limits in
+        # its key; the domain cache persists pair results across queries.
+        self._path_cache: Dict[Tuple[str, str], PairPaths] = (
             path_cache if path_cache is not None else {}
         )
-        self.catalog = PathCatalog()
+        #: Dependency edges numbered so far (the paper's ``<edge>``).
+        self.n_edges = 0
         self.edge_paths: Dict[EdgeKey, List[CandidatePath]] = {}
         self.edge_groups: Dict[EdgeKey, PairGroups] = {}
         self.root_paths: List[CandidatePath] = []
@@ -145,17 +158,17 @@ class SynthesisProblem:
         self,
         src: EndpointCandidate,
         dst: EndpointCandidate,
-    ) -> Sequence[IntPath]:
+    ) -> PairPaths:
         if src.node_id == dst.node_id:
             # Two query words may not collapse onto one API occurrence: a
             # dependency edge must correspond to a non-trivial grammar
             # relation.
-            return ()
+            return _NO_PATHS
         key = (src.node_id, dst.node_id)
         raw = self._path_cache.get(key)
         if raw is None:
             on_miss = self.deadline.check if self.deadline is not None else None
-            raw = self.domain.path_cache.find_paths(
+            raw = self.cache.find_paths(
                 src.node_id, dst.node_id, self.limits, on_miss=on_miss
             )
             self._path_cache[key] = raw
@@ -167,60 +180,58 @@ class SynthesisProblem:
         """The candidate paths of one edge — every endpoint pair's paths
         in discovery order, capped at the ``max_paths_per_edge`` lightest
         (weighted size, then length; stable on discovery order), with ids
-        assigned by the catalog — and the same paths grouped by pair,
-        each group lightest first."""
+        from :meth:`PathCatalog.label` — and the same paths grouped by
+        pair, each group lightest first."""
         # Looked up even when the memo below hits: a lookup is cheap, and
         # it keeps the paths layer's counters and the overlay that
         # relocation variants share what they were without the memo.
         raws = [self._raw_paths(src, dst) for src, dst in pairs]
         # Which paths survive the cap, and their labels, depend only on
-        # the endpoint node ids and the edge's catalog number, so literal
+        # the endpoint node ids and the edge's number, so literal
         # variants of one query share them.
-        catalog = self.catalog
-        edge = catalog.n_edges + 1
+        self.n_edges += 1
+        edge = self.n_edges
         key = (
             tuple((src.node_id, dst.node_id) for src, dst in pairs),
             self.limits.cache_key(),
             edge,
         )
-        labeled, encs, owners, lightest = (
-            self.domain.path_cache.edges.get_or_compute(
+        labeled, encs, sizes, owners, lightest = (
+            self.cache.edges.get_or_compute(
                 key, lambda: self._select(raws, edge)
             )
         )
-        catalog.adopt_edge(labeled)
         cands = [
-            CandidatePath(lp, *pairs[k], enc)
-            for lp, enc, k in zip(labeled, encs, owners)
+            CandidatePath(lp, *pairs[k], enc, size)
+            for lp, enc, size, k in zip(labeled, encs, sizes, owners)
         ]
         pick = cands.__getitem__
         return cands, tuple(tuple(map(pick, order)) for order in lightest)
 
     def _select(
-        self, raws: List[Sequence[IntPath]], edge: int
+        self, raws: List[PairPaths], edge: int
     ) -> Tuple[
         Tuple[GrammarPath, ...],
         Tuple[IntPath, ...],
         Tuple[int, ...],
+        Tuple[int, ...],
         Tuple[Tuple[int, ...], ...],
     ]:
         """One edge whose pairs found ``raws``: (its kept paths labeled
-        for catalog edge ``edge``, their encodings, the owning pair index
-        of each, and per pair with kept paths the indices of its paths
-        lightest first).  Only kept paths are decoded."""
-        interner = self.domain.path_cache.interner
-        size_of = interner.size_of_enc
+        for edge ``edge``, their encodings, their sizes, the owning pair
+        index of each, and per pair with kept paths the indices of its
+        paths lightest first).  Only kept paths are decoded."""
         kept = [
-            (size_of(enc), len(enc), k, j)
-            for k, raw in enumerate(raws)
-            for j, enc in enumerate(raw)
+            (size, len(enc), k, j)
+            for k, (encs, sizes) in enumerate(raws)
+            for j, (enc, size) in enumerate(zip(encs, sizes))
         ]
         cap = self.limits.max_paths_per_edge
         if len(kept) > cap:
             kept.sort()
             kept = sorted(kept[:cap], key=itemgetter(2, 3))  # discovery order
-        decode = interner.decode_nodes
-        encs = tuple(raws[k][j] for _size, _len, k, j in kept)
+        decode = self.cache.interner.decode_nodes
+        encs = tuple(raws[k][0][j] for _size, _len, k, j in kept)
         labeled = tuple(PathCatalog.label(edge, map(decode, encs)))
         groups: Dict[int, List[Tuple[int, int]]] = {}
         for i, (size, _len, k, _j) in enumerate(kept):
@@ -229,13 +240,19 @@ class SynthesisProblem:
             tuple(i for _size, i in sorted(group))
             for group in groups.values()
         )
-        return labeled, encs, tuple(k for _s, _l, k, _j in kept), lightest
+        return (
+            labeled,
+            encs,
+            tuple(size for size, _l, _k, _j in kept),
+            tuple(k for _s, _l, k, _j in kept),
+            lightest,
+        )
 
     def _edge_candidates(
         self, edge: DepEdge
     ) -> Tuple[List[CandidatePath], PairGroups]:
         """Candidate paths for one dependency edge (every governor candidate
-        x every dependent candidate), ids assigned by the catalog."""
+        x every dependent candidate), labeled with the edge's number."""
         return self._register([
             (src, dst)
             for src in self.candidates.get(edge.gov, ())
@@ -273,12 +290,11 @@ class SynthesisProblem:
 
     def start_attach_count(self, node_id: int) -> int:
         """``len(self.start_attach_paths(node_id))``, without building
-        the paths or registering a catalog edge for them: the per-edge
-        cap keeps the ``max_paths_per_edge`` lightest of the pairs'
-        paths."""
+        the paths or numbering an edge for them: the per-edge cap keeps
+        the ``max_paths_per_edge`` lightest of the pairs' paths."""
         start = start_candidate(self.domain.graph)
         found = sum(
-            len(self._raw_paths(start, dst))
+            len(self._raw_paths(start, dst)[0])
             for dst in self.candidates.get(node_id, ())
         )
         return min(found, self.limits.max_paths_per_edge)
@@ -319,6 +335,7 @@ class SynthesisProblem:
             self.limits,
             self.deadline,
             path_cache=self._path_cache,
+            cache=self.cache,
         )
 
 

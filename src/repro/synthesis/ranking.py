@@ -107,6 +107,7 @@ def _without_candidate(
         # Safe to share across limits: the overlay holds *raw* (uncapped)
         # pair results; per-edge caps are applied per problem.
         path_cache=problem._path_cache,
+        cache=problem.cache,
     )
 
 

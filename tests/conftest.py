@@ -1,4 +1,4 @@
-"""Shared fixtures: the paper's Fig. 4 toy grammar and the two domains."""
+"""Shared fixtures (the paper's Fig. 4 toy grammar, the domains) and path helpers."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from repro.domains.astmatcher import build_domain as build_astmatcher
 from repro.domains.textediting import build_domain as build_textediting
 from repro.grammar.bnf import parse_bnf
 from repro.grammar.graph import GrammarGraph
+from repro.grammar.interning import interner_for
+from repro.synthesis.problem import CandidatePath
 
 #: A miniature editing grammar modeled on the paper's Figure 4(a): INSERT
 #: with a string, a position (whose "or" alternatives exercise
@@ -36,6 +38,20 @@ TOY_APIS = (
     "ITERATIONSCOPE", "LINESCOPE", "WORDSCOPE", "CONTAINS", "ALWAYS",
     "NUMBERTOKEN",
 )
+
+
+def encode(graph, nodes):
+    """The interned encoding of the node-id path ``nodes`` over ``graph``."""
+    index = interner_for(graph).index
+    return tuple(index[node] for node in nodes)
+
+
+def candidate_path(graph, path, src_cand, dst_cand):
+    """A ``CandidatePath`` over ``path`` with the encoding and size that
+    ``SynthesisProblem`` gives its paths."""
+    enc = encode(graph, path.nodes)
+    size = interner_for(graph).size_of_enc(enc)
+    return CandidatePath(path, src_cand, dst_cand, enc, size)
 
 
 @pytest.fixture(scope="session")

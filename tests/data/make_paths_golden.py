@@ -62,14 +62,23 @@ def toy_graph() -> GrammarGraph:
     return GrammarGraph(parse_bnf(TOY_BNF), api_names=TOY_APIS)
 
 
-def record(domain: str, graph: GrammarGraph, src: str, dst: str,
-           limits: PathSearchLimits) -> list:
-    path_ints = interner_for(graph).path_ints
-    encs = [list(path_ints(p.nodes)) for p in find_paths(graph, src, dst, limits)]
+def golden_row(domain: str, src: str, dst: str, limits: PathSearchLimits,
+               encs: List[List[int]]) -> list:
+    """The fixture line for a search that returned ``encs``."""
     digest = hashlib.sha256(
         json.dumps(encs, separators=(",", ":")).encode()
     ).hexdigest()
     return [domain, src, dst, list(limits.cache_key()), len(encs), digest]
+
+
+def record(domain: str, graph: GrammarGraph, src: str, dst: str,
+           limits: PathSearchLimits) -> list:
+    index = interner_for(graph).index
+    encs = [
+        [index[node] for node in p.nodes]
+        for p in find_paths(graph, src, dst, limits)
+    ]
+    return golden_row(domain, src, dst, limits, encs)
 
 
 def suite_records(name: str) -> List[list]:

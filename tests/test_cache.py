@@ -128,9 +128,11 @@ class TestPathCacheLayers:
         apis = _api_node_ids(domain)
         for src in apis[:5]:
             for dst in apis[:5]:
-                for enc in cache.find_paths(src, dst):
+                encs, sizes = cache.find_paths(src, dst)
+                for enc, size in zip(encs, sizes):
                     path = GrammarPath("?", decode(enc))
-                    assert cache.size_of_enc(enc) == path.size(domain.graph)
+                    assert size == path.size(domain.graph)
+                    assert cache.size_of_enc(enc) == size
 
     def test_conflict_pairs_use_caller_ids(self):
         # The conflict cache keys on the set of encodings; callers list
@@ -142,7 +144,7 @@ class TestPathCacheLayers:
         apis = _api_node_ids(domain)
         for src in apis:
             for dst in apis:
-                raw = cache.find_paths(src, dst)
+                raw, _sizes = cache.find_paths(src, dst)
                 if len(raw) >= 2:
                     break
             if len(raw) >= 2:

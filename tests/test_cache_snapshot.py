@@ -203,6 +203,26 @@ class TestSnapshotRejection:
         with pytest.raises(CacheSnapshotError, match="format version"):
             read_snapshot(path)
 
+    def test_v2_snapshot_rejected(self, tmp_path):
+        """Version 2 stored a ``paths`` entry's encodings alone, where
+        version 3 stores ``(encodings, sizes)``: a v2 file is refused,
+        and loading it means a cold start."""
+        domain = _mini_domain(BNF)
+        domain.path_cache.find_paths(domain.graph.start_id, "api:DO")
+        path = domain.save_cache(tmp_path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["layers"]["paths"]
+        payload["format_version"] = 2
+        payload["layers"]["paths"] = [
+            (key, encs) for key, (encs, _sizes) in payload["layers"]["paths"]
+        ]
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CacheSnapshotError, match="format version 2"):
+            read_snapshot(path)
+        fresh = _mini_domain(BNF)
+        assert fresh.load_cache(tmp_path) is False
+        assert len(fresh.path_cache.paths) == 0
+
     def test_domain_load_cache_is_failsafe(self, tmp_path):
         # Stale/corrupt snapshots mean a cold start, not a crash.
         domain = _mini_domain(BNF)

@@ -18,9 +18,11 @@ from repro.core.dynamic_graph import VIRTUAL, InternedDynamicGraph
 from repro.grammar.bnf import parse_bnf
 from repro.grammar.graph import GrammarGraph, NodeKind, api_id
 from repro.grammar.interning import interner_for
-from repro.grammar.paths import find_paths
+from repro.grammar.path_cache import PathCache
+from repro.grammar.paths import GrammarPath, find_paths
 from repro.synthesis.problem import CandidatePath, EndpointCandidate
 from repro.synthesis.result import SynthesisStats
+from tests.conftest import encode
 
 #: One pair with four paths: three weigh 2 (through B, C or D) and the
 #: one through plain non-terminals weighs 1 — and is found last.
@@ -49,16 +51,16 @@ def _edge(graph, pairs):
     """(catalog-order paths, lightest-first pair groups) of one edge whose
     endpoint pairs are ``pairs``, built the way ``SynthesisProblem``
     builds them."""
-    interner = interner_for(graph)
+    cache = PathCache(graph)
+    decode = cache.interner.decode_nodes
     paths, groups = [], []
     for src, dst in pairs:
         group = []
-        for path in find_paths(graph, src.node_id, dst.node_id):
-            enc = interner.path_ints(path.nodes)
-            cp = CandidatePath(
-                path.with_id(f"1.{len(paths) + 1}"), src, dst, enc
-            )
-            group.append((interner.size_of_enc(enc), len(paths), cp))
+        encs, sizes = cache.find_paths(src.node_id, dst.node_id)
+        for enc, size in zip(encs, sizes):
+            path = GrammarPath(f"1.{len(paths) + 1}", decode(enc))
+            cp = CandidatePath(path, src, dst, enc, size)
+            group.append((size, len(paths), cp))
             paths.append(cp)
         if group:
             groups.append(tuple(cp for _s, _i, cp in sorted(group)))
@@ -72,7 +74,7 @@ def _exhaustive(dyng, gov_dep_id, child_dep_id, paths, stats):
         pred_slot = dyng._slot.get(base + cp.enc[-1])
         if pred_slot is None:
             continue
-        dyng.offer_path(gov_dep_id, cp, cp.enc, pred_slot)
+        dyng.offer_path(gov_dep_id, cp, cp.enc, cp.size, pred_slot)
         stats.n_combinations += 1
         stats.n_merged += 1
         stats.n_valid_cgts += 1
@@ -117,6 +119,7 @@ class TestCraftedEdge:
             graph, [(_cand(graph, api_id("A")), _cand(graph, api_id("E")))]
         )
         interner = interner_for(graph)
+        assert [cp.size for cp in paths] == [2, 2, 2, 1]
         assert [interner.size_of_enc(cp.enc) for cp in paths] == [2, 2, 2, 1]
         assert groups[0][0] is paths[-1]
 
@@ -188,7 +191,7 @@ def _random_edge(graph, rng):
         if rng.random() < 0.2:
             continue  # no predecessor slot for this dependent
         below = [
-            interner.path_ints(p.nodes)
+            encode(graph, p.nodes)
             for other in rng.sample(apis + literals, 6)
             if other != dep.node_id
             for p in find_paths(graph, dep.node_id, other)[:2]

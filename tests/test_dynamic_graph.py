@@ -9,7 +9,8 @@ from repro.errors import SynthesisError
 from repro.grammar.graph import api_id, literal_id
 from repro.grammar.interning import GraphInterner, interner_for
 from repro.grammar.paths import find_paths
-from repro.synthesis.problem import CandidatePath, EndpointCandidate
+from repro.synthesis.problem import EndpointCandidate
+from tests.conftest import candidate_path
 
 
 def api_cand(name, rank=0):
@@ -21,8 +22,8 @@ def lit_cand(slot, value, rank=0):
 
 
 def cpath(graph, src_cand, dst_cand, index=0, path_id="1.1"):
-    paths = find_paths(graph, src_cand.node_id, dst_cand.node_id)
-    return CandidatePath(paths[index].with_id(path_id), src_cand, dst_cand)
+    path = find_paths(graph, src_cand.node_id, dst_cand.node_id)[index]
+    return candidate_path(graph, path.with_id(path_id), src_cand, dst_cand)
 
 
 class Table:
@@ -48,12 +49,12 @@ class Table:
         return self.optimal(dep_id, node_id)[2]
 
     def offer_path(self, gov_dep_id, cp, pred_dep_id):
-        enc = self.interner.path_ints(cp.path.nodes)
-        self.dyng.offer_path(gov_dep_id, cp, enc, self.slot(pred_dep_id, cp.dst))
+        self.dyng.offer_path(
+            gov_dep_id, cp, cp.enc, cp.size, self.slot(pred_dep_id, cp.dst)
+        )
 
     def add_pcgt(self, gov_dep_id, src_node_id, combo, leaf_keys, tree_cost):
-        masks = [self.interner.enc_masks(self.interner.path_ints(cp.path.nodes))
-                 for cp in combo]
+        masks = [self.interner.enc_masks(cp.enc) for cp in combo]
         em = dm = onm = 0
         for m in masks:
             em |= m[0]

@@ -46,10 +46,10 @@ class TestDggtBasics:
         # counting must not build them or take a catalog edge number.
         problem = build_problem(toy_domain, "insert a string containing numbers")
         (orphan,) = problem.orphan_nodes()
-        n_edges = problem.catalog.n_edges
+        n_edges = problem.n_edges
         out = DggtEngine().synthesize(problem)
         assert out.stats.n_reloc_variants >= 1  # relocation placed it
-        assert problem.catalog.n_edges == n_edges
+        assert problem.n_edges == n_edges
         assert out.stats.n_orig_paths == problem.total_paths() + len(
             problem.start_attach_paths(orphan)
         )

@@ -11,8 +11,9 @@ from repro.grammar.path_cache import PathCache
 from repro.grammar.path_voted import conflict_mask_records
 from repro.grammar.paths import find_paths_between_apis
 from repro.synthesis.deadline import Deadline
-from repro.synthesis.problem import CandidatePath, EndpointCandidate
+from repro.synthesis.problem import EndpointCandidate
 from repro.synthesis.result import SynthesisStats
+from tests.conftest import candidate_path
 
 
 def cand(name):
@@ -20,14 +21,13 @@ def cand(name):
 
 
 def cp(graph, src, dst, path_id, index=0):
-    paths = find_paths_between_apis(graph, src, dst)
-    return CandidatePath(paths[index].with_id(path_id), cand(src), cand(dst))
+    path = find_paths_between_apis(graph, src, dst)[index]
+    return candidate_path(graph, path.with_id(path_id), cand(src), cand(dst))
 
 
 def conflicts(graph, a, b):
     """Do two candidate paths form a conflict path pair?"""
-    path_ints = interner_for(graph).path_ints
-    encs = [path_ints(p.path.nodes) for p in (a, b)]
+    encs = [p.enc for p in (a, b)]
     (bit_a, mask_a), (bit_b, mask_b) = conflict_masks_for(graph, encs)
     assert bool(mask_a & bit_b) == bool(mask_b & bit_a)  # symmetric
     return bool(mask_b & bit_a)
@@ -55,7 +55,7 @@ def group_stats(graph, sibling_paths):
         recs = []
         for path in paths:
             dyng.add_leaf(child, path.dst_candidate)
-            enc = interner.path_ints(path.path.nodes)
+            enc = path.enc
             recs.append((path, enc, dyng._slot[dyng.key_int(child, enc[-1])]))
         sibling_lists.append((child, recs))
     gov = sibling_paths[0][0].src_candidate

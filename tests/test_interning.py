@@ -24,6 +24,7 @@ from repro.grammar.graph import NodeKind, api_id
 from repro.grammar.interning import SENTINEL_DIST, interner_for
 from repro.grammar.path_cache import (
     SNAPSHOT_FORMAT_VERSION,
+    PathCache,
     read_snapshot,
     write_snapshot,
 )
@@ -34,7 +35,13 @@ from repro.synthesis.problem import (
     EndpointCandidate,
     build_problem,
 )
-from tests.data.make_paths_golden import SUITES, TOY_LIMITS, record
+from tests.conftest import encode
+from tests.data.make_paths_golden import (
+    SUITES,
+    TOY_LIMITS,
+    golden_row,
+    record,
+)
 
 PATHS_GOLDEN = Path(__file__).parent / "data" / "paths_golden.jsonl"
 
@@ -78,9 +85,8 @@ class TestOrderPreservation:
             textediting.graph, api_id("INSERT"), api_id("NUMBERTOKEN"),
             textediting.path_limits,
         ):
-            enc = interner.path_ints(path.nodes)
+            enc = encode(textediting.graph, path.nodes)
             assert interner.decode_nodes(enc) == path.nodes
-            assert interner.path_ints(path.nodes) is enc  # memoized
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +108,12 @@ GOLDEN_PATHS = _golden_paths()
 
 class TestSearchIdentity:
     """Every pinned ``[domain, src, dst, limits, n_paths, digest]`` row
-    is reproduced by ``find_paths``: the suites' endpoint pairs under
-    their domains' limits (ASTMatcher's at its 30,000-visit cap), and
-    every toy API pair under the default limits and tight caps."""
+    is reproduced by ``find_paths`` and by ``PathCache.find_paths``: the
+    suites' endpoint pairs under their domains' limits (ASTMatcher's at
+    its 30,000-visit cap), and every toy API pair under the default
+    limits and tight caps.  Each size the cache returns next to a path
+    is that path's ``GrammarPath.size``: its interior weight, plus 1 for
+    an API source."""
 
     def _assert_golden(self, domain, graph, limits):
         rows = GOLDEN_PATHS[(domain, limits.cache_key())]
@@ -114,6 +123,19 @@ class TestSearchIdentity:
             if record(domain, graph, row[1], row[2], limits) != row
         ]
         assert not mismatches, mismatches[:3]
+        cache = PathCache(graph)
+        decode = cache.interner.decode_nodes
+        wrong_sizes = []
+        for row in rows:
+            encs, sizes = cache.find_paths(row[1], row[2], limits)
+            encs_list = [list(enc) for enc in encs]
+            assert golden_row(domain, *row[1:3], limits, encs_list) == row
+            expected = [
+                GrammarPath("?", decode(enc)).size(graph) for enc in encs
+            ]
+            if list(sizes) != expected:
+                wrong_sizes.append(row)
+        assert not wrong_sizes, wrong_sizes[:3]
 
     def test_all_api_pairs_on_toy_graph(self, toy_graph):
         self._assert_golden("toy", toy_graph, PathSearchLimits())
@@ -178,7 +200,7 @@ class TestMaskAlgebra:
         for path in find_paths(
             toy_graph, api_id("INSERT"), api_id("NUMBERTOKEN")
         ):
-            enc = interner.path_ints(path.nodes)
+            enc = encode(toy_graph, path.nodes)
             em, nm, dm, onm, nm_all = interner.enc_masks(enc)
             assert em.bit_count() == len(enc) - 1  # simple path: all distinct
             expected_nodes = 0
@@ -227,7 +249,6 @@ class TestMaskAlgebra:
         assert agree_valid and agree_invalid
 
     def test_conflict_masks_match_pairs(self, toy_graph):
-        interner = interner_for(toy_graph)
         src = api_id("INSERT")
         paths = []
         for dst in ("POSITION", "START", "STARTFROM", "NUMBERTOKEN"):
@@ -242,7 +263,7 @@ class TestMaskAlgebra:
             toy_graph, (cp.path for cp in paths)
         ).conflict_path_pairs()
         assert pairs, "sample must contain at least one or-conflict"
-        encs = [interner.path_ints(cp.path.nodes) for cp in paths]
+        encs = [encode(toy_graph, cp.path.nodes) for cp in paths]
         records = conflict_masks_for(toy_graph, encs)
         for i in range(len(paths)):
             for j in range(len(paths)):
@@ -257,13 +278,13 @@ class TestMaskAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot format bump: v1 files must be rejected, not mis-loaded
+# Snapshot format bumps: older files must be rejected, not mis-loaded
 # ---------------------------------------------------------------------------
 
 
 class TestSnapshotVersioning:
-    def test_current_version_is_2(self):
-        assert SNAPSHOT_FORMAT_VERSION == 2
+    def test_current_version_is_3(self):
+        assert SNAPSHOT_FORMAT_VERSION == 3
 
     def test_v1_snapshot_rejected(self, tmp_path, toy_domain):
         path = tmp_path / "toy.dggtcache"
@@ -290,6 +311,8 @@ class TestSlottedRecords:
             GrammarPath("1.0", ("api:INSERT", "nt:x", "api:STRING")),
             endpoint,
             EndpointCandidate(node_id="lit:str_val", value="x"),
+            enc=(4, 7, 5),
+            size=1,
         )
         return endpoint, path
 
@@ -301,3 +324,6 @@ class TestSlottedRecords:
         for record in self._records():
             clone = pickle.loads(pickle.dumps(record))
             assert clone == record
+        _endpoint, path = self._records()
+        clone = pickle.loads(pickle.dumps(path))
+        assert (clone.enc, clone.size) == (path.enc, path.size)

@@ -4,8 +4,9 @@
 shortest-path DAG's counting and k-best lists, and runs the DFS
 otherwise.  Both must agree with the semantics its docstring states;
 ``reference_paths`` below restates them as directly as possible, and
-hypothesis compares the two on random cyclic grammars under random caps,
-including the visit-cap boundary ``cnt[dst]`` in {cap - 1, cap, cap + 1}.
+hypothesis compares the two — the kept paths and their interior weights
+— on random cyclic grammars under random caps, including the visit-cap
+boundary ``cnt[dst]`` in {cap - 1, cap, cap + 1}.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.domains import load_domain
 from repro.grammar.bnf import parse_bnf
 from repro.grammar.graph import GrammarGraph, api_id, nonterminal_id
 from repro.grammar.interning import interner_for
-from repro.grammar.paths import PathSearchLimits, find_paths
+from repro.grammar.paths import PathSearchLimits, _search_enc, find_paths
 from tests.data.make_paths_golden import record
 
 PATHS_GOLDEN = Path(__file__).parent / "data" / "paths_golden.jsonl"
@@ -32,11 +33,12 @@ PATHS_GOLDEN = Path(__file__).parent / "data" / "paths_golden.jsonl"
 def reference_paths(graph, src, dst, limits):
     """Capped iterative deepening, one recursive call per node entered.
 
-    Returns ``(paths, visits)``: the node tuples ``src -> ... -> dst``
-    the search keeps, in DFS order, and the visits it made."""
+    Returns ``(paths, weights, visits)``: the node tuples ``src -> ...
+    -> dst`` the search keeps, in DFS order, their interior weights, and
+    the visits it made."""
     dist = graph.distances_from(src)
     if dst not in dist:
-        return [], 0
+        return [], [], 0
     found = []  # (interior weight, node count, DFS index, path)
     visits = 0
 
@@ -66,8 +68,8 @@ def reference_paths(graph, src, dst, limits):
         visit(dst, (dst,), length - 1)
         if len(found) >= limits.max_paths or visits >= limits.max_visits:
             break
-    kept = sorted(found)[: limits.max_paths]
-    return [f[3] for f in sorted(kept, key=lambda f: f[2])], visits
+    kept = sorted(sorted(found)[: limits.max_paths], key=lambda f: f[2])
+    return [f[3] for f in kept], [f[0] for f in kept], visits
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +141,15 @@ def endpoints(graph):
 
 
 def _assert_same(graph, src, dst, limits):
-    expected, _visits = reference_paths(graph, src, dst, limits)
-    got = [p.nodes for p in find_paths(graph, src, dst, limits)]
-    assert got == expected, (src, dst, limits.cache_key())
+    expected, weights, _visits = reference_paths(graph, src, dst, limits)
+    interner = interner_for(graph)
+    encs, got_weights = _search_enc(
+        interner, interner.index[src], interner.index[dst], limits
+    )
+    got = [interner.decode_nodes(enc) for enc in encs]
+    assert (got, got_weights) == (expected, weights), (
+        src, dst, limits.cache_key()
+    )
 
 
 class TestAgainstReference:
@@ -169,7 +177,7 @@ class TestAgainstReference:
             max_path_len=64, max_paths=1 << 30, max_extra_len=0,
             max_visits=1 << 30,
         )
-        _paths, cnt = reference_paths(graph, src, dst, round_one)
+        _paths, _weights, cnt = reference_paths(graph, src, dst, round_one)
         caps = {cnt - 1, cnt, cnt + 1} | set(range(1, 40))
         for cap in sorted(cap for cap in caps if cap >= 1):
             for k in {1, max_paths}:

@@ -144,18 +144,16 @@ class TestLimitsValidation:
 
 class TestPathCatalog:
     def test_edge_scoped_ids(self):
-        catalog = PathCatalog()
-        first = catalog.register_edge(
-            [GrammarPath("?", ("a", "b")), GrammarPath("?", ("a", "c"))]
-        )
-        second = catalog.register_edge([GrammarPath("?", ("x", "y"))])
+        first = PathCatalog.label(1, [("a", "b"), ("a", "c")])
+        second = PathCatalog.label(2, [("x", "y")])
         assert [p.path_id for p in first] == ["1.1", "1.2"]
         assert [p.path_id for p in second] == ["2.1"]
-        assert catalog.n_edges == 2
-        assert len(catalog) == 3
-        assert catalog.get("1.2").nodes == ("a", "c")
+        assert first[1] == GrammarPath("1.2", ("a", "c"))
 
     def test_all_paths(self):
-        catalog = PathCatalog()
-        catalog.register_edge([GrammarPath("?", ("a", "b"))])
-        assert [p.path_id for p in catalog.all_paths()] == ["1.1"]
+        """Every node tuple is labeled, in order, from any iterable."""
+        nodes = [("a", "b"), ("a", "c", "b"), ("d",)]
+        labeled = PathCatalog.label(3, iter(nodes))
+        assert [p.nodes for p in labeled] == nodes
+        assert [p.path_id for p in labeled] == ["3.1", "3.2", "3.3"]
+        assert PathCatalog.label(4, []) == []

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.core.dggt import DggtEngine
+from repro.domains.textediting.queries import TEXTEDITING_QUERIES
 from repro.errors import SynthesisError
 from repro.grammar.graph import api_id, literal_id
 from repro.grammar.interning import GraphInterner
+from repro.grammar.path_cache import PathCache
 from repro.grammar.paths import PathSearchLimits
-from repro.synthesis.problem import build_problem
+from repro.synthesis.domain import Domain
+from repro.synthesis.problem import SynthesisProblem, build_problem
+from tests.conftest import encode
 
 
 class TestCandidates:
@@ -143,13 +148,15 @@ class TestEncodings:
         ]
 
     def test_find_paths_returns_int_tuples(self, toy_domain):
-        encs = toy_domain.path_cache.find_paths(
+        encs, sizes = toy_domain.path_cache.find_paths(
             toy_domain.graph.start_id, api_id("NUMBERTOKEN")
         )
         assert isinstance(encs, tuple) and len(encs) > 1
         for enc in encs:
             assert isinstance(enc, tuple)
             assert all(type(node) is int for node in enc)
+        assert isinstance(sizes, tuple) and len(sizes) == len(encs)
+        assert all(type(size) is int for size in sizes)
 
     def test_dropped_paths_are_never_decoded(self, toy_domain, monkeypatch):
         decoded = []
@@ -166,16 +173,14 @@ class TestEncodings:
             limits=PathSearchLimits(max_paths_per_edge=1),
         )
         kept = [cp.enc for paths, _groups in self._edges(prob) for cp in paths]
-        raw = {enc for encs in prob._path_cache.values() for enc in encs}
+        raw = {
+            enc for encs, _sizes in prob._path_cache.values() for enc in encs
+        }
         assert raw - set(kept), "the cap should drop some paths"
         assert sorted(decoded) == sorted(kept)
-        path_memo = toy_domain.path_cache.interner._path_memo
-        for enc in raw - set(kept):
-            assert original(toy_domain.path_cache.interner, enc) not in path_memo
 
     def test_groups_hold_each_pair_lightest_first(self, toy_domain):
         prob = build_problem(toy_domain, 'insert ":" into lines containing numbers')
-        interner = toy_domain.path_cache.interner
         for paths, groups in self._edges(prob):
             assert sorted(map(id, paths)) == sorted(
                 id(cp) for group in groups for cp in group
@@ -188,13 +193,11 @@ class TestEncodings:
             assert all(len(pair) == 1 for pair in pairs)
             assert len(set.union(set(), *pairs)) == len(groups)
             for group in groups:
-                keys = [
-                    (interner.size_of_enc(cp.enc), position[id(cp)])
-                    for cp in group
-                ]
+                keys = [(cp.size, position[id(cp)]) for cp in group]
                 assert keys == sorted(keys)
             for cp in paths:
-                assert cp.enc == interner.path_ints(cp.path.nodes)
+                assert cp.enc == encode(toy_domain.graph, cp.path.nodes)
+                assert cp.size == cp.path.size(toy_domain.graph)
 
 
 class TestOrphans:
@@ -231,6 +234,63 @@ class TestWithDepGraph:
         graph.reattach(orphan, graph.root, "reloc")
         rebuilt = prob.with_dep_graph(graph)
         assert rebuilt.orphan_nodes() == []
+
+
+class TestBoundCache:
+    """A problem resolves ``Domain.path_cache`` once, when it is built,
+    and its relocation variants share that cache."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        reads, built = [], []
+        prop = Domain.path_cache
+
+        def counting_cache(domain):
+            reads.append(1)
+            return prop.fget(domain)
+
+        init = SynthesisProblem.__init__
+
+        def counting_init(problem, *args, **kwargs):
+            built.append(1)
+            init(problem, *args, **kwargs)
+
+        monkeypatch.setattr(Domain, "path_cache", property(counting_cache))
+        monkeypatch.setattr(SynthesisProblem, "__init__", counting_init)
+        return reads, built
+
+    def test_warm_query_resolves_domain_cache_once_per_problem(
+        self, textediting, monkeypatch
+    ):
+        queries = [c.query for c in TEXTEDITING_QUERIES[:20]]
+        engine = DggtEngine()
+
+        def run_all():
+            for query in queries:
+                try:
+                    engine.synthesize(build_problem(textediting, query))
+                except SynthesisError:
+                    pass
+
+        run_all()  # warm
+        reads, built = self._count(monkeypatch)
+        run_all()
+        assert built and len(reads) <= len(built)
+
+    def test_problem_keeps_its_cache_across_a_reload(
+        self, toy_domain, monkeypatch
+    ):
+        problem = build_problem(
+            toy_domain, "insert a string containing numbers"
+        )
+        bound = problem.cache
+        reloaded = PathCache(toy_domain.graph)
+        monkeypatch.setattr(toy_domain, "_path_cache", reloaded)
+        assert toy_domain.path_cache is reloaded
+        out = DggtEngine().synthesize(problem)
+        assert out.stats.n_reloc_variants >= 1
+        assert problem.cache is bound
+        assert not any(reloaded.snapshot().values())
 
 
 class TestReranker:

@@ -8,8 +8,9 @@ from repro.grammar.interning import interner_for
 from repro.grammar.path_cache import PathCache
 from repro.grammar.paths import find_paths_between_apis
 from repro.synthesis.deadline import Deadline
-from repro.synthesis.problem import CandidatePath, EndpointCandidate
+from repro.synthesis.problem import EndpointCandidate
 from repro.synthesis.result import SynthesisStats
+from tests.conftest import candidate_path
 
 
 def cand(name):
@@ -18,7 +19,7 @@ def cand(name):
 
 def cp(graph, src, dst, path_id):
     path = find_paths_between_apis(graph, src, dst)[0]
-    return CandidatePath(path.with_id(path_id), cand(src), cand(dst))
+    return candidate_path(graph, path.with_id(path_id), cand(src), cand(dst))
 
 
 def merge_group(graph, combo, subtrees=()):
@@ -38,12 +39,11 @@ def merge_group(graph, combo, subtrees=()):
         else:
             grandchild = child + len(combo)
             dyng.add_leaf(grandchild, sub.dst_candidate)
-            sub_enc = interner.path_ints(sub.path.nodes)
             dyng.offer_path(
-                child, sub, sub_enc,
-                dyng._slot[dyng.key_int(grandchild, sub_enc[-1])],
+                child, sub, sub.enc, sub.size,
+                dyng._slot[dyng.key_int(grandchild, sub.enc[-1])],
             )
-        enc = interner.path_ints(path.path.nodes)
+        enc = path.enc
         slot = dyng._slot[dyng.key_int(child, enc[-1])]
         sibling_lists.append((child, [(path, enc, slot)]))
     gov = combo[0].src_candidate
