@@ -75,11 +75,14 @@ FULL_WORKLOADS = {
     "merge_stress_3x4x5": {"kind": "synthetic", "levels": 3, "fanout": 4, "alternatives": 5},
 }
 
-#: Pinned CI smoke subset: a search-heavy suite slice plus the smallest
-#: merge-stress point — seconds, not minutes.
+#: Pinned CI smoke subset: a search-heavy suite slice plus two
+#: merge-stress points, the second large enough (1.3M Case II
+#: combinations) that the sibling fold's cost shows — seconds, not
+#: minutes.
 SMOKE_WORKLOADS = {
     "astmatcher_head15": {"kind": "suite", "domain": "astmatcher", "limit": 15},
     "merge_stress_3x3x4": {"kind": "synthetic", "levels": 3, "fanout": 3, "alternatives": 4},
+    "merge_stress_3x4x4": {"kind": "synthetic", "levels": 3, "fanout": 4, "alternatives": 4},
 }
 
 WARM_ROUNDS = 3

@@ -8,7 +8,9 @@ DGGT replaces HISyn's exhaustive Step-5 with dynamic programming:
    grammar path; sibling edges (Case II) enumerate the combinations of their
    candidate paths *within the level only*, filtered by grammar-based
    pruning (Sec. V-A) and size-based pruning (Sec. V-C), and each surviving
-   combination becomes a partial-CGT node.
+   combination becomes a partial-CGT node.  The combinations are folded
+   over prefixes (:func:`fold_siblings`): a grammar conflict drops every
+   combination that extends the conflicting prefix at once.
 2. **Optimal CGT backtrack** — the node at the grammar start holds the
    optimal CGT; emit the codelet from it.
 
@@ -43,7 +45,8 @@ for the ablation study (research question Q3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cgt import CGT
@@ -62,9 +65,17 @@ from repro.synthesis.problem import (
 from repro.synthesis.result import SynthesisOutcome, SynthesisStats
 from repro.synthesis.stages import SynthesisContext, synthesize_with
 
-#: One usable candidate path: (the path, its int encoding, the
-#: predecessor's DP slot, conflict bit, conflict mask, path size).
-IntRec = Tuple[CandidatePath, IntPath, int, int, int, int]
+#: One usable sibling path as the Case II fold reads it: (the path, the
+#: predecessor's DP slot, conflict bit, conflict mask, path size, the
+#: predecessor's min size, then the path's ``enc_masks`` — em, nm, dm,
+#: onm, nodes — and its sink bit).
+IntRec = Tuple[CandidatePath, int, int, int, int, int, int, int, int, int, int, int]
+
+#: A prefix of one pick per sibling list, and a surviving combination
+#: (the full-length prefixes): (lower, upper, records, pred_total, then
+#: the ORs of the records' em, nm, dm, onm, nodes and sink bits, then
+#: the ORed conflict bits and the largest path size).
+Prefix = Tuple[int, int, Tuple[IntRec, ...], int, int, int, int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -76,12 +87,66 @@ class DggtConfig:
     orphan_relocation: bool = True
 
 
-#: Case II sibling combinations enumerated, and sorted survivors merged,
-#: between two cooperative deadline checks.
+#: Case II prefixes built, and sorted survivors merged, between two
+#: cooperative deadline checks.
 _DEADLINE_STRIDE = 256
 
-#: Shared (False, 0) merge-info value — one tuple for every invalid merge.
-_INVALID_MERGE: Tuple[bool, int] = (False, 0)
+
+def fold_siblings(
+    rec_lists: Sequence[Sequence[IntRec]],
+    src_weight: int,
+    deadline: Deadline,
+) -> Tuple[List[Prefix], int, int]:
+    """Case II's sibling product folded over prefixes: ``(survivors,
+    combinations, grammar-pruned)``.
+
+    The combinations of one record per list are walked in product order,
+    one list at a time, each prefix carrying its bounds, predecessor
+    total and mask ORs, so a surviving combination costs one extension
+    of its prefix.  A record whose conflict mask meets the prefix's
+    accumulated conflict bits makes every combination that extends it
+    grammar-conflicting: the whole subtree, ∏(lengths of the later
+    lists) combinations, is counted pruned at once and never built.
+    Survivors come out in product order, as the unfolded enumeration
+    produced them.  ``src_weight`` (1 when the governor is an API) is
+    what each extra path's shared source takes off the upper bound."""
+    n_combinations = subtree = prod(map(len, rec_lists))
+    # The empty prefix: its "upper" is set so the first record's
+    # extension reads size + pred_size.
+    states: List[Prefix] = [(0, src_weight, (), 0, 0, 0, 0, 0, 0, 0, 0, 0)]
+    n_pruned = 0
+    built = 0
+    next_check = _DEADLINE_STRIDE
+    for recs in rec_lists:
+        subtree //= len(recs)  # combinations below one record of recs
+        extended: List[Prefix] = []
+        append = extended.append
+        n_recs = len(recs)
+        for (_lower, upper, combo, pred_total,
+             fem, fnm, fdm, fonm, nodes, sinks, acc, max_size) in states:
+            for rec in recs:
+                if rec[3] & acc:
+                    n_pruned += subtree
+                    continue
+                (_cp, _slot, bit, _mask, size, pred_size,
+                 em, nm, dm, onm, rec_nodes, sink) = rec
+                total = pred_total + pred_size
+                top = size if size > max_size else max_size
+                append((
+                    top + total,
+                    upper + size + pred_size - src_weight,
+                    combo + (rec,),
+                    total,
+                    fem | em, fnm | nm, fdm | dm, fonm | onm,
+                    nodes | rec_nodes, sinks | sink,
+                    acc | bit, top,
+                ))
+            built += n_recs
+            if built >= next_check:
+                deadline.check()
+                next_check = built + _DEADLINE_STRIDE
+        states = extended
+    return states, n_combinations, n_pruned
 
 
 class DggtEngine:
@@ -379,17 +444,14 @@ class DggtEngine:
         ]
         if self.config.grammar_pruning:
             mask_records = cache.conflict_masks(all_encs)
-            check_conflicts = any(mask for _bit, mask in mask_records)
         else:
             mask_records = [(0, 0)] * len(all_encs)
-            check_conflicts = False
-        size_of_enc = cache.size_of_enc
 
-        # Fold the conflict bits, path size, and the per-encoding bitmasks
-        # into each record so the enumeration and the merge loop touch
-        # nothing but local tuples: rec = (cp, enc, pred_slot, conflict_bit,
-        # conflict_mask, size, em, nm, dm, onm, nm_all, sink_bit).
+        # One IntRec per usable path; predecessor sizes read straight off
+        # the DP arrays (stable mid-group — offers only target the
+        # governor's level).
         enc_masks = interner.enc_masks
+        pred_size = dyng._size
         rec_lists: List[List[IntRec]] = []
         flat = 0
         for _child, recs in sibling_lists:
@@ -397,98 +459,53 @@ class DggtEngine:
             for cp, enc, pred_slot in recs:
                 bit, mask = mask_records[flat]
                 flat += 1
-                em, nm, dm, onm, nm_all = enc_masks(enc)
                 full.append(
-                    (cp, enc, pred_slot, bit, mask, size_of_enc(enc),
-                     em, nm, dm, onm, nm_all, 1 << enc[-1])
+                    (cp, pred_slot, bit, mask, cp.size, pred_size[pred_slot],
+                     *enc_masks(enc), 1 << enc[-1])
                 )
             rec_lists.append(full)
 
-        survivors: List[Tuple[IntRec, ...]] = []
-        count = 0
-        for combo in product(*rec_lists):
-            count += 1
-            if count % _DEADLINE_STRIDE == 0:
-                deadline.check()
-            if check_conflicts:
-                acc = 0
-                conflict = False
-                for rec in combo:
-                    if rec[4] & acc:
-                        conflict = True
-                        break
-                    acc |= rec[3]
-                if conflict:
-                    stats.pruned_by_grammar += 1
-                    continue
-            survivors.append(combo)
-        stats.n_combinations += count
-
-        # (lower, upper, combo, pred_total): the Sec. V-C cost bounds (see
-        # the module docstring) as a flat tuple; pred sizes read straight
-        # off the DP arrays (stable mid-group — offers only target the
-        # governor's level).
-        pred_size = dyng._size
         src_weight = 1 if interner.is_api[gov_int] else 0
-        sized = []
-        for combo in survivors:
-            pred_total = 0
-            max_size = 0
-            size_sum = 0
-            for rec in combo:
-                pred_total += pred_size[rec[2]]
-                size = rec[5]
-                size_sum += size
-                if size > max_size:
-                    max_size = size
-            lower = max_size + pred_total
-            upper = size_sum - (len(combo) - 1) * src_weight + pred_total
-            sized.append((lower, upper, combo, pred_total))
+        survivors, n_combinations, n_pruned = fold_siblings(
+            rec_lists, src_weight, deadline
+        )
+        stats.n_combinations += n_combinations
+        stats.pruned_by_grammar += n_pruned
+        # By the Sec. V-C (lower, upper) bounds; stable, so equal bounds
+        # merge in product order.
+        survivors.sort(key=itemgetter(0, 1))
 
-        sized.sort(key=lambda item: (item[0], item[1]))
         size_pruning = self.config.size_pruning
         gov_rank = gov_cand.rank
         best_total: Optional[int] = None
-        # Locals for the merge validity/cost algebra, fed from the masks
-        # hoisted into the records above.  A merge is valid (the
-        # ``CGT.is_grammar_valid`` of the fused paths) when the edge union
-        # is a single-rooted tree taking at most one alternative per
-        # choice non-terminal: exactly one root means the node count
-        # exceeds the distinct-child count by one, |E| == |V| - 1 then
-        # forces one parent per child, and a doubled choice alternative
-        # raises the taken or-edge popcount above the taken choice
-        # non-terminal popcount.  Its cost is the weight of every merged
-        # node except the sinks (carried by their memo slots) and the
-        # source, which counts 1 when it is an API.  Every lookup goes
-        # through the domain's merge cache layer, keyed by the
-        # combination's encodings.
+        # A merge is valid (the ``CGT.is_grammar_valid`` of the fused
+        # paths) when the edge union is a single-rooted tree taking at
+        # most one alternative per choice non-terminal: exactly one root
+        # means the node count exceeds the distinct-child count by one,
+        # |E| == |V| - 1 then forces one parent per child, and a doubled
+        # choice alternative raises the taken or-edge popcount above the
+        # taken choice non-terminal popcount.  Its cost is the weight of
+        # every merged node except the sinks (carried by their memo
+        # slots) and the source, which counts 1 when it is an API.  The
+        # fold hands over every mask already ORed, so the check is O(1).
         or_mask = interner.or_edge_mask
         weight = interner.weight
         weight_mask = interner.weight_mask
         src_bit = 1 << gov_int
         src_api = interner.is_api[gov_int]
-        merge_info = cache.merge_info
-        for idx, item in enumerate(sized):
+        for idx, survivor in enumerate(survivors):
             if idx % _DEADLINE_STRIDE == 0:
                 deadline.check()
-            lower, _upper, combo, pred_total = item
+            (lower, _upper, combo, pred_total,
+             fem, fnm, fdm, fonm, nodes, sinks, _acc, _max) = survivor
             if (
                 size_pruning
                 and best_total is not None
                 and lower > best_total
             ):
-                stats.pruned_by_size += len(sized) - idx
+                stats.pruned_by_size += len(survivors) - idx
                 break
             stats.n_merged += 1
-            combo_encs = tuple(rec[1] for rec in combo)
-            fem = fnm = fdm = fonm = nodes = sinks = 0
-            for rec in combo:
-                fem |= rec[6]
-                fnm |= rec[7]
-                fdm |= rec[8]
-                fonm |= rec[9]
-                nodes |= rec[10]
-                sinks |= rec[11]
             pn = fnm.bit_count()
             if (
                 not fem
@@ -496,27 +513,21 @@ class DggtEngine:
                 or fem.bit_count() != pn - 1
                 or (fem & or_mask).bit_count() != fonm.bit_count()
             ):
-                info = _INVALID_MERGE
-            else:
-                rem = nodes & ~sinks & ~src_bit & weight_mask
-                tree_cost = 0
-                while rem:
-                    low = rem & -rem
-                    tree_cost += weight[low.bit_length() - 1]
-                    rem ^= low
-                if src_api and not (sinks & src_bit):
-                    tree_cost += 1
-                info = (True, tree_cost)
-            info = merge_info(combo_encs, lambda: info)
-            valid, tree_cost = info
-            if not valid:
                 continue  # reconvergent or grammar-conflicting merge
+            rem = nodes & ~sinks & ~src_bit & weight_mask
+            tree_cost = 0
+            while rem:
+                low = rem & -rem
+                tree_cost += weight[low.bit_length() - 1]
+                rem ^= low
+            if src_api and not (sinks & src_bit):
+                tree_cost += 1
             created = dyng.add_pcgt(
                 gov_dep_id,
                 gov_int,
                 (fem, fdm, fonm),
                 [rec[0] for rec in combo],
-                [rec[2] for rec in combo],
+                [rec[1] for rec in combo],
                 tree_cost,
                 gov_rank,
             )
@@ -526,4 +537,3 @@ class DggtEngine:
             total = tree_cost + pred_total
             if best_total is None or total < best_total:
                 best_total = total
-

@@ -202,17 +202,6 @@ class GraphInterner:
         return (ids[a], ids[b])
 
     # ------------------------------------------------------------------
-    # Path size (the DESIGN.md accounting, in int space)
-    # ------------------------------------------------------------------
-
-    def size_of_enc(self, enc: IntPath) -> int:
-        """``GrammarPath.size`` of an encoded path: interior API weights
-        plus 1 when the source endpoint is an API (a word resolved to it,
-        so it is never a free generic)."""
-        weight = self.weight
-        return sum(weight[i] for i in enc[1:-1]) + self.is_api[enc[0]]
-
-    # ------------------------------------------------------------------
     # Reachability (int-space BFS over the successor table)
     # ------------------------------------------------------------------
 

@@ -7,10 +7,9 @@ every query.  Within one domain, different queries overwhelmingly share API
 pairs ("insert ... line", "append ... line", ... all need the same
 INSERT-to-LINESCOPE paths), so memoizing per pair across queries removes
 the dominant per-query cost of a serving workload.  The same argument
-applies one level up the stack: conflict-pair analysis, path sizes, and the
-validity/cost of a sibling-level path merge are all pure functions of path
-*node sequences* and the grammar graph, and whole synthesis outcomes are
-pure functions of (query, engine, config).
+applies one level up the stack: conflict-pair analysis is a pure function
+of path *node sequences* and the grammar graph, and whole synthesis
+outcomes are pure functions of (query, engine, config).
 
 :class:`PathCache` bundles those layers behind one object attached to a
 :class:`~repro.synthesis.domain.Domain`.  All grammar-pure layers key on
@@ -30,12 +29,13 @@ them as flat arrays:
     encodings (path *ids* are per-query labels, so they cannot key a
     cross-query cache; the interned node sequence is the stable
     identity), turned into the engine's per-path bitmask records.
-``sizes``
-    path encoding -> ``GrammarPath.size(graph)`` (DGGT Case II only).
-``merge``
-    an opaque memo keyed by a combination's path encodings; the DGGT
-    engine stores (validity, exact tree cost) of a sibling-combination
-    merge here.
+``sizes``, ``merge``
+    unread: path sizes come with the ``paths`` entries, and DGGT Case II
+    computes a sibling merge's validity and cost from masks its prefix
+    fold has already ORed, cheaper than a lookup keyed by the
+    combination.  Both stay empty, their counters read 0, and they keep
+    their capacities, snapshot slots and stats fields so the snapshot
+    format and the per-layer metric names do not change.
 ``outcomes``
     an opaque memo for whole synthesis outcomes, used by
     :class:`~repro.synthesis.pipeline.Synthesizer` for repeated queries.
@@ -280,22 +280,8 @@ class PathCache:
         return conflict_mask_records(encs, enc_pairs)
 
     # ------------------------------------------------------------------
-    # Path-size layer
+    # Outcome layer
     # ------------------------------------------------------------------
-
-    def size_of_enc(self, enc: IntPath) -> int:
-        """Memoized ``GrammarPath.size(graph)`` of an interned encoding."""
-        return self.sizes.get_or_compute(
-            enc, lambda: self.interner.size_of_enc(enc)
-        )
-
-    # ------------------------------------------------------------------
-    # Opaque memo layers (merge results, whole outcomes)
-    # ------------------------------------------------------------------
-
-    def merge_info(self, key: Any, compute: Callable[[], Any]) -> Any:
-        """Memo for sibling-combination merge results (DGGT Case II)."""
-        return self.merge.get_or_compute(key, compute)
 
     def get_outcome(self, key: Any) -> Any:
         """A cached synthesis outcome, or ``None``."""

@@ -68,7 +68,6 @@ class RankedCandidate:
     rank: int
     codelet: str
     size: int
-    elapsed_seconds: float
     score: float = 0.0
 
     def to_json(self) -> Dict[str, Any]:
@@ -169,7 +168,6 @@ def outcomes_to_candidates(outcomes: Sequence[Any]) -> Tuple[RankedCandidate, ..
             rank=index + 1,
             codelet=outcome.codelet,
             size=outcome.size,
-            elapsed_seconds=outcome.elapsed_seconds,
             score=cost_score(outcome.size),
         )
         for index, outcome in enumerate(outcomes)

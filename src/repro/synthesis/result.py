@@ -134,6 +134,8 @@ class SynthesisOutcome:
     cgt: CGT
     size: int  # number of APIs in the codelet
     stats: SynthesisStats = field(default_factory=SynthesisStats)
+    #: The request's wall time, set by whoever timed it (``Synthesizer``,
+    #: ``repro explain``); 0.0 from an engine called on a built problem.
     elapsed_seconds: float = 0.0
     #: Milliseconds the request waited in the serving admission queue
     #: before dispatch.  None outside a scheduler-enabled server (batch

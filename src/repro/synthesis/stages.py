@@ -375,8 +375,9 @@ def synthesize_with(
     ``ctx.stats``.  When ``ctx`` is None (engines called directly on a
     pre-built problem) a minimal context is built around ``deadline``;
     otherwise ``ctx`` carries the deadline and the spans land in its
-    trace."""
-    started = time.monotonic()
+    trace.  The outcome's ``elapsed_seconds`` stays 0.0: callers that
+    report a wall time (:class:`~repro.synthesis.pipeline.Synthesizer`,
+    ``repro explain``) time the whole request themselves."""
     if ctx is None:
         ctx = SynthesisContext(
             query="",
@@ -388,12 +389,10 @@ def synthesize_with(
     cgt = run_stage(
         ctx, "merge", engine.search, problem, ctx.deadline, ctx.stats
     )
-    outcome = run_stage(
+    return run_stage(
         ctx, "codegen", codegen, ctx.query, engine.name,
         problem.domain.graph, cgt, ctx.stats, ctx.trace,
     )
-    outcome.elapsed_seconds = time.monotonic() - started
-    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,7 @@ def candidate_path(graph, path, src_cand, dst_cand):
     """A ``CandidatePath`` over ``path`` with the encoding and size that
     ``SynthesisProblem`` gives its paths."""
     enc = encode(graph, path.nodes)
-    size = interner_for(graph).size_of_enc(enc)
-    return CandidatePath(path, src_cand, dst_cand, enc, size)
+    return CandidatePath(path, src_cand, dst_cand, enc, path.size(graph))
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,6 @@ class TestPathCacheLayers:
                 for enc, size in zip(encs, sizes):
                     path = GrammarPath("?", decode(enc))
                     assert size == path.size(domain.graph)
-                    assert cache.size_of_enc(enc) == size
 
     def test_conflict_pairs_use_caller_ids(self):
         # The conflict cache keys on the set of encodings; callers list

@@ -118,9 +118,8 @@ class TestCraftedEdge:
         paths, groups = _edge(
             graph, [(_cand(graph, api_id("A")), _cand(graph, api_id("E")))]
         )
-        interner = interner_for(graph)
         assert [cp.size for cp in paths] == [2, 2, 2, 1]
-        assert [interner.size_of_enc(cp.enc) for cp in paths] == [2, 2, 2, 1]
+        assert [cp.path.size(graph) for cp in paths] == [2, 2, 2, 1]
         assert groups[0][0] is paths[-1]
 
     def test_cutoff_offers_less_and_matches_exhaustive(

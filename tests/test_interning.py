@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import dggt
 from repro.core.cgt import CGT
 from repro.core.dggt import DggtConfig, DggtEngine
+from repro.core.dynamic_graph import InternedDynamicGraph
 from repro.core.grammar_pruning import conflict_masks_for
 from repro.domains import load_domain
 from repro.errors import CacheSnapshotError, SynthesisError
@@ -210,39 +212,72 @@ class TestMaskAlgebra:
             assert nm_all == expected_nodes
             assert dm == nm & ~(1 << enc[0])
 
-    def test_merge_validity_matches_cgt(self, toy_domain):
-        """Every sibling merge the engine records in the merge cache layer
-        — its bitmask validity and tree cost — agrees with the CGT checks
-        and a set-based cost over the decoded paths.  Pruning is off so
-        or-conflicting combinations reach the merge too."""
+    def test_merge_validity_matches_cgt(self, toy_domain, monkeypatch):
+        """Every combination Case II's fold lets through carries the ORs
+        of its paths' masks, and the engine's verdict on those masks —
+        offered to ``add_pcgt`` or dropped — and the tree cost it offers
+        agree with the CGT checks and a set-based cost over the decoded
+        paths.  Pruning is off so or-conflicting combinations reach the
+        merge too."""
+        folds, offered = [], {}
+        fold = dggt.fold_siblings
+        add_pcgt = InternedDynamicGraph.add_pcgt
+
+        def recording_fold(*args):
+            out = fold(*args)
+            folds.append(out[0])
+            return out
+
+        def recording_add(self, gov_dep_id, gov_int, masks, cps, *rest):
+            offered[tuple(map(id, cps))] = (masks, rest[1])
+            return add_pcgt(self, gov_dep_id, gov_int, masks, cps, *rest)
+
+        monkeypatch.setattr(dggt, "fold_siblings", recording_fold)
+        monkeypatch.setattr(InternedDynamicGraph, "add_pcgt", recording_add)
         engine = DggtEngine(
             DggtConfig(grammar_pruning=False, size_pruning=False)
         )
+        problems = []  # alive, so the path ids keying ``offered`` stay unique
         for query in (
             # START and POSITION are two alternatives of pos_expr.
             'insert ":" at the start at position 5 into lines',
             "insert numbers at the start containing numbers into words",
         ):
+            problems.append(build_problem(toy_domain, query))
             try:
-                engine.synthesize(build_problem(toy_domain, query))
+                engine.synthesize(problems[-1])
             except SynthesisError:
                 pass
         graph = toy_domain.graph
-        decode = interner_for(graph).decode_nodes
+        interner = interner_for(graph)
         agree_valid = agree_invalid = 0
-        for combo_encs, (valid, cost) in toy_domain.path_cache.merge.items():
-            paths = [decode(enc) for enc in combo_encs]
+        for survivor in (s for survivors in folds for s in survivors):
+            combo = survivor[2]
+            fem, fnm, fdm, fonm, nodes, sinks = survivor[4:10]
+            cps = [rec[0] for rec in combo]
+            expected_masks = [0] * 6
+            for cp in cps:
+                for i, mask in enumerate(
+                    (*interner.enc_masks(cp.enc), 1 << cp.enc[-1])
+                ):
+                    expected_masks[i] |= mask
+            assert [fem, fnm, fdm, fonm, nodes, sinks] == expected_masks
+            paths = [cp.path.nodes for cp in cps]
             tree = CGT.from_paths(GrammarPath("?", p) for p in paths)
-            assert valid == (tree.is_tree() and not tree.or_conflicts(graph))
+            valid = tree.is_tree() and not tree.or_conflicts(graph)
+            key = tuple(map(id, cps))
+            assert (key in offered) == valid, paths
             if not valid:
                 agree_invalid += 1
                 continue
             agree_valid += 1
+            masks, cost = offered[key]
+            assert masks == (fem, fdm, fonm)
             src = paths[0][0]
-            sinks = {p[-1] for p in paths}
-            nodes = {n for p in paths for n in p} - sinks - {src}
-            expected = sum(graph.api_weight(n) for n in nodes)
-            if src not in sinks and graph.node(src).kind is NodeKind.API:
+            sink_ids = {p[-1] for p in paths}
+            node_ids = {n for p in paths for n in p} - sink_ids - {src}
+            expected = sum(graph.api_weight(n) for n in node_ids)
+            if src not in sink_ids and graph.node(src).kind is NodeKind.API:
                 expected += 1
             assert cost == expected, paths
         # The sample must exercise both branches to mean anything.
