@@ -838,7 +838,7 @@ def build_pack_arg_parser() -> argparse.ArgumentParser:
         help="check pack directories; issues print as file:line: message",
         description="validate pack directories (or folders of packs): "
         "manifest schema, grammar, API document, literal slots, "
-        "tunables, and every bundled example's ground truth",
+        "pruning lists, and every bundled example's ground truth",
     )
     validate.add_argument(
         "paths",

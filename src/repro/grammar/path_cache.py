@@ -18,12 +18,14 @@ the domain's :class:`~repro.grammar.interning.GraphInterner` encodings
 them as flat arrays:
 
 ``paths``
-    ``(src_int, dst_int, limits.cache_key())`` -> ``(encodings, sizes)``:
+    ``(src_int, dst_int, limits.search_key())`` -> ``(encodings, sizes)``:
     the pair's paths as int encodings in discovery order, and aligned
     with them each path's ``GrammarPath.size`` — the interior weight the
     search returns, plus 1 when the source is an API.  Nothing is decoded
     here: node-id strings and :class:`GrammarPath` objects are built per
     edge, only for the paths the per-edge cap keeps (``edges`` below).
+    The key leaves that cap out (the search never reads it), so
+    ranking's tighter cap shares the domain's entries.
 ``conflicts``
     frozenset of path encodings -> conflict pairs expressed over
     encodings (path *ids* are per-query labels, so they cannot key a
@@ -246,7 +248,7 @@ class PathCache:
         dst_int = interner.index.get(dst_id)
         if src_int is None or dst_int is None:
             return ((), ())
-        key = (src_int, dst_int, limits.cache_key())
+        key = (src_int, dst_int, limits.search_key())
         entry = self.paths.get(key)
         if entry is not _MISSING:
             return entry
@@ -367,10 +369,12 @@ class PathCache:
 #: versions rather than guessing.  Version 2 switched every persisted
 #: layer to interned int keys/encodings (version-1 snapshots carried
 #: string node tuples and raw GrammarPath objects); version 3 stores
-#: ``(encodings, sizes)`` per ``paths`` entry.  An older file would
-#: mis-key or mis-shape a layer, so :func:`read_snapshot` rejects it and
-#: ``cache warm`` regenerates.
-SNAPSHOT_FORMAT_VERSION = 3
+#: ``(encodings, sizes)`` per ``paths`` entry; version 4 keys ``paths``
+#: on :meth:`~repro.grammar.paths.PathSearchLimits.search_key` (four
+#: knobs, without the per-edge cap).  An older file would mis-key or
+#: mis-shape a layer, so :func:`read_snapshot` rejects it and ``cache
+#: warm`` regenerates.
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: Snapshot file suffix (one file per (domain, grammar hash)).
 SNAPSHOT_SUFFIX = ".dggtcache"

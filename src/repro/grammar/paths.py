@@ -131,13 +131,24 @@ class PathSearchLimits:
         self.max_extra_len = max_extra_len
 
     def cache_key(self) -> Tuple[int, int, int, int, int]:
-        """Stable identity for cross-query caching: ``find_paths`` results
-        are a pure function of (graph, endpoints, these five knobs)."""
+        """Stable identity of all five knobs, for caches whose values
+        depend on the per-edge cap too (capped edges, whole outcomes)."""
         return (
             self.max_path_len,
             self.max_paths,
             self.max_visits,
             self.max_paths_per_edge,
+            self.max_extra_len,
+        )
+
+    def search_key(self) -> Tuple[int, int, int, int]:
+        """The knobs one pair's search reads: ``find_paths`` results are
+        a pure function of (graph, endpoints, these four).  The per-edge
+        cap is applied afterwards, per dependency edge."""
+        return (
+            self.max_path_len,
+            self.max_paths,
+            self.max_visits,
             self.max_extra_len,
         )
 

@@ -6,8 +6,9 @@ document and the BNF grammar" made literal, in the spirit of the plain-text
 grammar + dictionary files of Desai et al.'s NLPro systems:
 
 ``pack.toml``
-    The manifest: pack identity plus knobs (literal slots, pruning policy,
-    matcher tunables, path-search limits).
+    The manifest: pack identity plus knobs (literal slots, pruning
+    policy).  Path-search limits and matcher weights are the domain
+    code's defaults, not pack settings.
 ``grammar.bnf``
     The target DSL grammar, in the dialect of :mod:`repro.grammar.bnf`.
 ``apis.toml``
@@ -69,20 +70,6 @@ _SCHEMA: Dict[str, Optional[Tuple[str, ...]]] = {
         "keep_lemmas",
         "drop_lemmas",
     ),
-    "matching": (
-        "max_candidates",
-        "min_score",
-        "description_weight",
-        "similarity_weight",
-        "similarity_floor",
-    ),
-    "limits": (
-        "max_path_len",
-        "max_paths",
-        "max_visits",
-        "max_paths_per_edge",
-        "max_extra_len",
-    ),
 }
 
 #: Default companion file names, overridable per manifest section.
@@ -128,8 +115,6 @@ class PackSpec:
     abbreviations: Dict[str, str] = field(default_factory=dict)
     literal_targets: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     pruning: Dict[str, Any] = field(default_factory=dict)
-    matching: Dict[str, Any] = field(default_factory=dict)
-    limits: Dict[str, int] = field(default_factory=dict)
     examples: List[QueryCase] = field(default_factory=list)
     content_hash: str = ""
     files: Tuple[str, ...] = ()
@@ -148,11 +133,9 @@ class PackSpec:
     def build_domain(self) -> "Domain":
         """Materialize a :class:`~repro.synthesis.domain.Domain` through
         the existing ``parse_bnf`` / ``Domain.create`` machinery."""
-        from repro.grammar.paths import PathSearchLimits
         from repro.nlp.pruning import PruneConfig
         from repro.nlu.docs import ApiDoc
         from repro.nlu.synonyms import SynonymTable
-        from repro.nlu.word2api import MatchConfig
         from repro.synthesis.domain import Domain
 
         docs = [
@@ -170,29 +153,18 @@ class PackSpec:
         prune_kwargs = {
             key: frozenset(values) for key, values in self.pruning.items()
         }
-        domain = Domain.create(
+        return Domain.create(
             name=self.name,
             bnf_source=self.grammar_source,
             api_docs=docs,
             synonyms=synonyms,
             prune_config=PruneConfig(**prune_kwargs) if prune_kwargs else None,
             literal_targets=self.literal_targets or None,
-            match_config=(
-                MatchConfig(**self.matching) if self.matching else None
-            ),
             description=self.description,
-            path_limits=(
-                PathSearchLimits(**self.limits) if self.limits else None
-            ),
             generic_apis=self.generic_apis or None,
             start=self.grammar_start,
             provenance=self.provenance(),
         )
-        return domain
-
-    def query_cases(self) -> List[QueryCase]:
-        """The bundled evaluation suite (may be empty)."""
-        return list(self.examples)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +253,7 @@ class _Reader:
         self._read_apis(data, lines, spec)
         self._read_synonyms(data, lines, spec)
         self._read_literals(data, lines, spec)
-        self._read_tunables(data, lines, spec)
+        self._read_pruning(data, lines, spec)
         self._read_examples(data, lines, spec)
 
         digest = hashlib.sha256()
@@ -559,7 +531,7 @@ class _Reader:
                 continue
             spec.abbreviations[short.lower()] = full.lower()
 
-    # -- literals / tunables -------------------------------------------
+    # -- literals / pruning --------------------------------------------
 
     def _read_literals(
         self, data: Dict[str, Any], lines, spec: PackSpec
@@ -577,7 +549,7 @@ class _Reader:
             if got is not None:
                 spec.literal_targets[kind] = got
 
-    def _read_tunables(
+    def _read_pruning(
         self, data: Dict[str, Any], lines, spec: PackSpec
     ) -> None:
         for key, values in (data.get("pruning") or {}).items():
@@ -589,33 +561,6 @@ class _Reader:
             )
             if got is not None:
                 spec.pruning[key] = got
-        for key, value in (data.get("matching") or {}).items():
-            if key not in _SCHEMA["matching"]:
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                self.issue(
-                    MANIFEST_NAME,
-                    lines.get(("matching", key)),
-                    f"matching {key} must be a number, got {value!r}",
-                )
-                continue
-            spec.matching[key] = (
-                int(value) if key == "max_candidates" else float(value)
-            )
-        # A path-search limit of 0 is a meaningful bound.
-        for key, value in (data.get("limits") or {}).items():
-            if key not in _SCHEMA["limits"]:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                self.issue(
-                    MANIFEST_NAME,
-                    lines.get(("limits", key)),
-                    f"limits {key} must be a non-negative "
-                    f"integer, got {value!r}",
-                )
-                continue
-            spec.limits[key] = value
 
     # -- examples ------------------------------------------------------
 

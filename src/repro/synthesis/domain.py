@@ -3,11 +3,11 @@ about one target DSL.
 
 Per the paper (Sec. II) a domain supplies (ii) the API document and (iii) the
 BNF grammar; this class bundles them with the derived grammar graph, the
-lexical knowledge table, and the pruning/matching policies.  The NLU-driven
-selling point — "when the APIs in the target domain change, it needs only
-the incorporation of the updated document" — is exactly this object: build a
-new :class:`Domain` from the updated BNF + document and nothing retrains
-(see ``examples/build_your_own_domain.py``).
+lexical knowledge table, the pruning policy and the path-search limits.
+The NLU-driven selling point — "when the APIs in the target domain change,
+it needs only the incorporation of the updated document" — is exactly this
+object: build a new :class:`Domain` from the updated BNF + document and
+nothing retrains (see ``examples/build_your_own_domain.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.grammar.paths import PathSearchLimits
 from repro.nlp.pruning import PruneConfig
 from repro.nlu.docs import ApiDoc, ApiDocument
 from repro.nlu.synonyms import SynonymTable, default_synonyms
-from repro.nlu.word2api import MatchConfig, WordToApiMatcher
+from repro.nlu.word2api import WordToApiMatcher
 
 
 @dataclass
@@ -54,7 +54,6 @@ class Domain:
     synonyms: SynonymTable
     prune_config: PruneConfig
     literal_targets: Mapping[str, Tuple[str, ...]]
-    match_config: MatchConfig = field(default_factory=MatchConfig)
     description: str = ""
     path_limits: PathSearchLimits = field(default_factory=PathSearchLimits)
     #: Optional syntax-aware candidate reranker: called per pruned-graph
@@ -94,7 +93,6 @@ class Domain:
         synonyms: Optional[SynonymTable] = None,
         prune_config: Optional[PruneConfig] = None,
         literal_targets: Optional[Mapping[str, Sequence[str]]] = None,
-        match_config: Optional[MatchConfig] = None,
         description: str = "",
         path_limits: Optional[PathSearchLimits] = None,
         generic_apis: Optional[Iterable[str]] = None,
@@ -135,7 +133,6 @@ class Domain:
             synonyms=synonyms or default_synonyms(),
             prune_config=prune_config or PruneConfig(),
             literal_targets=resolved_targets,
-            match_config=match_config or MatchConfig(),
             description=description,
             path_limits=path_limits or PathSearchLimits(),
             candidate_reranker=candidate_reranker,
@@ -243,9 +240,7 @@ class Domain:
     @property
     def matcher(self) -> WordToApiMatcher:
         if self._matcher is None:
-            self._matcher = WordToApiMatcher(
-                self.document, self.synonyms, self.match_config
-            )
+            self._matcher = WordToApiMatcher(self.document, self.synonyms)
         return self._matcher
 
     def literal_target_ids(self, kind: str) -> List[str]:

@@ -119,7 +119,6 @@ def explain_synthesis(
         query=query,
         domain=synthesizer.domain,
         deadline=Deadline(timeout_seconds),
-        limits=synthesizer.limits,
         keep_artifacts=True,
     )
     cache = synthesizer.domain.path_cache

@@ -41,7 +41,6 @@ from repro.errors import (
     SynthesisTimeout,
     error_code,
 )
-from repro.grammar.paths import PathSearchLimits
 from repro.synthesis.deadline import Deadline
 from repro.synthesis.domain import Domain
 from repro.synthesis.problem import SynthesisProblem, build_problem
@@ -359,7 +358,6 @@ class _WorkerSpec:
     domain_name: str
     engine_name: str
     config: Any
-    limits: Optional[PathSearchLimits]
     cache_outcomes: bool
     cache_dir: Optional[str]
 
@@ -384,7 +382,6 @@ def _process_worker_init(spec: _WorkerSpec) -> None:
         domain,
         engine=spec.engine_name,
         config=spec.config,
-        limits=spec.limits,
         cache_outcomes=spec.cache_outcomes,
     )
 
@@ -437,19 +434,19 @@ class Synthesizer:
         engine: EngineLike = "dggt",
         *,
         config=None,
-        limits: Optional[PathSearchLimits] = None,
         cache_outcomes: bool = True,
     ):
         self.domain = domain
         self.engine = make_engine(engine, config)
-        self.limits = limits
+        #: The domain's path-search limits, part of the outcome-cache key.
+        self.limits = domain.path_limits
         self.cache_outcomes = cache_outcomes
 
     def build_problem(
         self, query: str, deadline: Optional[Deadline] = None
     ) -> SynthesisProblem:
         """Run the shared front end only (useful for inspection/debugging)."""
-        return build_problem(self.domain, query, self.limits, deadline)
+        return build_problem(self.domain, query, deadline)
 
     # ------------------------------------------------------------------
     # Single-query entry point
@@ -458,9 +455,8 @@ class Synthesizer:
     def _outcome_key(self, query: str):
         """Identity of a synthesis result: everything it is a pure
         function of, besides the domain (which scopes the cache)."""
-        limits = self.limits or self.domain.path_limits
         config = getattr(self.engine, "config", None)
-        return (query, self.engine.name, config, limits.cache_key())
+        return (query, self.engine.name, config, self.limits.cache_key())
 
     @staticmethod
     def _replay(cached: SynthesisOutcome) -> SynthesisOutcome:
@@ -531,7 +527,7 @@ class Synthesizer:
         want_candidates = examples is not None or candidates is not None
         ctx = SynthesisContext(
             query=query, domain=self.domain,
-            deadline=Deadline(timeout_seconds), limits=self.limits,
+            deadline=Deadline(timeout_seconds),
         )
         # The deadline is checked before the outcome-cache lookup (a zero
         # budget beats a warm cache); attributed to "parse", the stage the
@@ -618,7 +614,6 @@ class Synthesizer:
             domain_name=self.domain.name,
             engine_name=engine_name,
             config=getattr(self.engine, "config", None),
-            limits=self.limits,
             cache_outcomes=self.cache_outcomes,
             cache_dir=None if cache_dir is None else str(cache_dir),
         )

@@ -425,7 +425,6 @@ def drop_candidateless(
 def build_problem(
     domain: Domain,
     query: str,
-    limits: Optional[PathSearchLimits] = None,
     deadline=None,
 ) -> SynthesisProblem:
     """Run Steps 1-4 and return the engine-ready problem.
@@ -445,6 +444,5 @@ def build_problem(
         query=query,
         domain=domain,
         deadline=deadline if deadline is not None else Deadline.unlimited(),
-        limits=limits,
     )
     return run_front_end(ctx)

@@ -50,7 +50,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.compat import slotted_dataclass
 from repro.core.expression import cgt_to_expression
 from repro.errors import ReproError, SynthesisError, SynthesisTimeout
-from repro.grammar.paths import PathSearchLimits
 from repro.nlp.parser import parse_query
 from repro.nlp.pruning import prune_query_graph
 from repro.synthesis.deadline import Deadline
@@ -192,7 +191,6 @@ class SynthesisContext:
     query: str
     domain: Any  # repro.synthesis.domain.Domain (kept loose: no cycle)
     deadline: Deadline
-    limits: Optional[PathSearchLimits] = None
     stats: SynthesisStats = field(default_factory=SynthesisStats)
     trace: Trace = field(default_factory=Trace)
     keep_artifacts: bool = False
@@ -359,7 +357,7 @@ def run_front_end(ctx: SynthesisContext):
     )
     return run_stage(
         ctx, "edge_to_path", SynthesisProblem,
-        domain, pruned, candidates, ctx.limits, ctx.deadline,
+        domain, pruned, candidates, domain.path_limits, ctx.deadline,
     )
 
 

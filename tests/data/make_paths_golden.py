@@ -92,13 +92,16 @@ def suite_records(name: str) -> List[list]:
         except SynthesisError:
             pass
     node_ids = domain.path_cache.interner.node_ids
-    keys = sorted(
-        (node_ids[src], node_ids[dst], limits)
-        for (src, dst, limits), _entry in domain.path_cache.paths.items()
-    )
+    limits = domain.path_limits
+    pairs = []
+    for (src, dst, key), _entry in domain.path_cache.paths.items():
+        # The layer keys on the search's four knobs; every one here is
+        # the domain's own.
+        assert key == limits.search_key(), key
+        pairs.append((node_ids[src], node_ids[dst]))
     return [
-        record(name, domain.graph, src, dst, PathSearchLimits(*limits))
-        for src, dst, limits in keys
+        record(name, domain.graph, src, dst, limits)
+        for src, dst in sorted(pairs)
     ]
 
 

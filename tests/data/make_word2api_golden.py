@@ -8,7 +8,8 @@ matcher reproduces every candidate list in it exactly (names, rounded
 scores, sources and order).  Regenerating it with a changed matcher only
 makes sense when a scoring change is intended.
 
-Per domain it records, for the domain's own :class:`MatchConfig`:
+Per domain it records, for the default :class:`MatchConfig` (the one
+every domain's matcher uses):
 
 * every phrase ``build_word_to_api_map`` looks up for the suite queries
   after parse and prune;
@@ -126,7 +127,7 @@ def main() -> None:
     for name in DOMAINS:
         dom = load_domain(name)
         phrases = domain_phrases(dom, rng)
-        runs = [("default", dom.match_config, phrases)]
+        runs = [("default", MatchConfig(), phrases)]
         sample = rng.sample(phrases, min(VARIANT_SAMPLE, len(phrases)))
         runs += [
             (label, MatchConfig(**overrides), sample)

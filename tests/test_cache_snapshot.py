@@ -33,6 +33,7 @@ from repro.grammar.path_cache import (
     snapshot_path,
     write_snapshot,
 )
+from repro.grammar.paths import PathSearchLimits
 from repro.nlu.docs import ApiDoc
 from repro.synthesis.domain import Domain
 
@@ -203,25 +204,46 @@ class TestSnapshotRejection:
         with pytest.raises(CacheSnapshotError, match="format version"):
             read_snapshot(path)
 
-    def test_v2_snapshot_rejected(self, tmp_path):
-        """Version 2 stored a ``paths`` entry's encodings alone, where
-        version 3 stores ``(encodings, sizes)``: a v2 file is refused,
-        and loading it means a cold start."""
+    @staticmethod
+    def _assert_old_snapshot_rejected(tmp_path, version, old_entry):
+        """A snapshot rewritten as format ``version``, each ``paths``
+        entry by ``old_entry(key, (encs, sizes))``, is refused, and
+        loading it means a cold start."""
         domain = _mini_domain(BNF)
         domain.path_cache.find_paths(domain.graph.start_id, "api:DO")
         path = domain.save_cache(tmp_path)
         payload = pickle.loads(path.read_bytes())
         assert payload["layers"]["paths"]
-        payload["format_version"] = 2
+        payload["format_version"] = version
         payload["layers"]["paths"] = [
-            (key, encs) for key, (encs, _sizes) in payload["layers"]["paths"]
+            old_entry(key, entry) for key, entry in payload["layers"]["paths"]
         ]
         path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(CacheSnapshotError, match="format version 2"):
+        with pytest.raises(
+            CacheSnapshotError, match=f"format version {version}"
+        ):
             read_snapshot(path)
         fresh = _mini_domain(BNF)
         assert fresh.load_cache(tmp_path) is False
         assert len(fresh.path_cache.paths) == 0
+
+    def test_v2_snapshot_rejected(self, tmp_path):
+        """Version 2 stored a ``paths`` entry's encodings alone, where
+        version 3 stores ``(encodings, sizes)``."""
+        self._assert_old_snapshot_rejected(
+            tmp_path, 2, lambda key, entry: (key, entry[0])
+        )
+
+    def test_v3_snapshot_rejected(self, tmp_path):
+        """Version 3 keyed ``paths`` on all five limits, where version 4
+        keys it on the four the search reads (no per-edge cap)."""
+        default_cap = PathSearchLimits().max_paths_per_edge
+
+        def five_knob_key(key, entry):
+            src, dst, (length, paths, visits, extra) = key
+            return (src, dst, (length, paths, visits, default_cap, extra)), entry
+
+        self._assert_old_snapshot_rejected(tmp_path, 3, five_knob_key)
 
     def test_domain_load_cache_is_failsafe(self, tmp_path):
         # Stale/corrupt snapshots mean a cold start, not a crash.

@@ -318,8 +318,8 @@ class TestMaskAlgebra:
 
 
 class TestSnapshotVersioning:
-    def test_current_version_is_3(self):
-        assert SNAPSHOT_FORMAT_VERSION == 3
+    def test_current_version_is_4(self):
+        assert SNAPSHOT_FORMAT_VERSION == 4
 
     def test_v1_snapshot_rejected(self, tmp_path, toy_domain):
         path = tmp_path / "toy.dggtcache"

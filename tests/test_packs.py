@@ -162,23 +162,26 @@ class TestValidationIssues:
         rendered = self._issues(demo)
         assert any("examples.jsonl:2:" in issue for issue in rendered), rendered
 
-    def test_cache_table_refused(self, demo):
+    @pytest.mark.parametrize("table, body", [
+        ("cache", "paths = 4096"),
+        ("limits", "max_visits = 100000000"),
+        ("matching", "min_score = 0.0"),
+    ], ids=["cache", "limits", "matching"])
+    def test_retired_table_refused(self, demo, table, body):
+        """PathCache capacities, path-search limits and matcher weights
+        are set by the code (one capacity table, the domain's own
+        defaults), not by a pack."""
         manifest = demo / MANIFEST_NAME
         text = manifest.read_text()
         n_lines = len(text.splitlines())
-        # PathCache capacities are one fixed table, not a pack setting.
-        manifest.write_text(text + "\n[cache]\npaths = 4096\n")
-        rendered = self._issues(demo)
-        assert rendered == [
-            f"{MANIFEST_NAME}:{n_lines + 2}: unknown manifest table [cache]"
-        ], rendered
-
-    def test_limits_zero_stays_valid(self, demo):
-        manifest = demo / MANIFEST_NAME
-        manifest.write_text(
-            manifest.read_text() + "\n[limits]\nmax_extra_len = 0\n"
+        manifest.write_text(text + f"\n[{table}]\n{body}\n")
+        expected = (
+            f"{MANIFEST_NAME}:{n_lines + 2}: unknown manifest table [{table}]"
         )
-        assert self._issues(demo) == []
+        assert self._issues(demo) == [expected]
+        with pytest.raises(PackError) as info:
+            load_pack(demo)
+        assert [str(issue) for issue in info.value.issues] == [expected]
 
     def test_load_pack_raises_with_structured_issues(self, demo):
         (demo / "grammar.bnf").write_text("broken ::=\n")

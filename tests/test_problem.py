@@ -4,14 +4,25 @@ import pytest
 
 from repro.core.dggt import DggtEngine
 from repro.domains.textediting.queries import TEXTEDITING_QUERIES
-from repro.errors import SynthesisError
+from repro.domains import load_domain
+from repro.errors import ReproError, SynthesisError
 from repro.grammar.graph import api_id, literal_id
 from repro.grammar.interning import GraphInterner
 from repro.grammar.path_cache import PathCache
 from repro.grammar.paths import PathSearchLimits
 from repro.synthesis.domain import Domain
+from repro.synthesis.pipeline import Synthesizer
 from repro.synthesis.problem import SynthesisProblem, build_problem
 from tests.conftest import encode
+
+
+def _capped(prob):
+    """``prob`` rebuilt under a per-edge cap of one path: ranking's own
+    route to a second cap (the limits argument of SynthesisProblem)."""
+    return SynthesisProblem(
+        prob.domain, prob.dep_graph, prob.candidates,
+        PathSearchLimits(max_paths_per_edge=1),
+    )
 
 
 class TestCandidates:
@@ -70,8 +81,7 @@ class TestEdgePaths:
                 assert cp.src != cp.dst
 
     def test_per_edge_cap(self, toy_domain):
-        limits = PathSearchLimits(max_paths_per_edge=1)
-        prob = build_problem(toy_domain, "delete numbers", limits=limits)
+        prob = _capped(build_problem(toy_domain, "delete numbers"))
         for edge in prob.dep_graph.edges():
             assert len(prob.paths_of(edge)) <= 1
 
@@ -126,14 +136,31 @@ class TestEdgeMemo:
         ]
 
     def test_limits_do_not_share_entries(self, toy_domain):
-        capped = build_problem(
-            toy_domain, "delete numbers",
-            limits=PathSearchLimits(max_paths_per_edge=1),
-        )
         full = build_problem(toy_domain, "delete numbers")
+        capped = _capped(full)
         for edge in full.dep_graph.edges():
             assert len(capped.paths_of(edge)) <= 1
         assert full.total_paths() > capped.total_paths()
+
+    def test_ranking_cap_shares_the_pair_search(self):
+        """The ``paths`` layer keys on what one pair's search reads, not
+        the per-edge cap: after a TextEditing suite pass with candidates
+        (exclusion re-synthesis runs under ranking's tighter cap), every
+        endpoint pair is searched and stored once, under the domain's
+        own key."""
+        domain = load_domain("textediting", fresh=True)
+        synth = Synthesizer(domain)
+        for case in TEXTEDITING_QUERIES:
+            try:
+                synth.synthesize(case.query, candidates=4)
+            except ReproError:
+                pass
+        keys = [key for key, _entry in domain.path_cache.paths.items()]
+        pairs = {(src, dst) for src, dst, _limits in keys}
+        assert len(pairs) == len(keys)
+        assert {limits for _s, _d, limits in keys} == {
+            domain.path_limits.search_key()
+        }
 
 
 class TestEncodings:
@@ -166,12 +193,10 @@ class TestEncodings:
             decoded.append(enc)
             return original(self, enc)
 
-        monkeypatch.setattr(GraphInterner, "decode_nodes", recording)
         toy_domain.path_cache.clear()
-        prob = build_problem(
-            toy_domain, "delete numbers",
-            limits=PathSearchLimits(max_paths_per_edge=1),
-        )
+        full = build_problem(toy_domain, "delete numbers")
+        monkeypatch.setattr(GraphInterner, "decode_nodes", recording)
+        prob = _capped(full)
         kept = [cp.enc for paths, _groups in self._edges(prob) for cp in paths]
         raw = {
             enc for encs, _sizes in prob._path_cache.values() for enc in encs

@@ -100,18 +100,31 @@ class TestPackReloadInProcess:
             assert service.drain(grace_seconds=10) is True
             service.close()
 
-    def test_invalid_edit_keeps_previous_build_serving(self, hot_pack):
+    @pytest.mark.parametrize("file, addition, error", [
+        ("grammar.bnf", "broken ::=\n", "grammar.bnf"),
+        # Limits that held a 1 s request for over 30 s of path search.
+        (
+            "pack.toml",
+            "\n[limits]\nmax_path_len = 40\nmax_paths = 1000000\n"
+            "max_visits = 100000000\nmax_paths_per_edge = 10000\n"
+            "max_extra_len = 16\n",
+            "unknown manifest table [limits]",
+        ),
+    ], ids=["grammar", "limits"])
+    def test_invalid_edit_keeps_previous_build_serving(
+        self, hot_pack, file, addition, error
+    ):
         with SynthesisService(ServerConfig(domains=("hotdemo",))) as service:
             status, before = service.handle_payload(
                 {"query": "show all messages", "domain": "hotdemo"}
             )
             assert status == 200
-            grammar = hot_pack / "grammar.bnf"
-            grammar.write_text(grammar.read_text() + "broken ::=\n")
+            edited = hot_pack / file
+            edited.write_text(edited.read_text() + addition)
             result = service.reload_snapshots()
             entry = result["domains"]["hotdemo"]
             assert entry["pack_reloaded"] is False
-            assert "grammar.bnf" in entry["pack_error"]
+            assert error in entry["pack_error"]
             status, after = service.handle_payload(
                 {"query": "show all messages", "domain": "hotdemo"}
             )

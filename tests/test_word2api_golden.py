@@ -45,7 +45,7 @@ def test_matcher_reproduces_golden_candidates(domain, label):
     dom = load_domain(domain)
     config = MatchConfig(**CONFIGS[f"{domain}/{label}"])
     if label == "default":
-        assert config == dom.match_config
+        assert config == MatchConfig() == dom.matcher.config
     matcher = WordToApiMatcher(dom.document, dom.synonyms, config)
     mismatches = []
     for phrase, expected in GROUPS[(domain, label)]:
