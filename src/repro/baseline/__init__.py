@@ -1,9 +1,7 @@
 """HISyn baseline: the exhaustive NLU-driven synthesizer DGGT accelerates."""
 
 from repro.baseline.enumeration import (
-    combination_count,
     enumerate_best_cgt,
-    endpoints_consistent,
     iter_combinations,
     merge_combination,
 )
@@ -11,9 +9,7 @@ from repro.baseline.hisyn import HISynEngine
 
 __all__ = [
     "HISynEngine",
-    "combination_count",
     "iter_combinations",
     "merge_combination",
-    "endpoints_consistent",
     "enumerate_best_cgt",
 ]

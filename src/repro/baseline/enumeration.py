@@ -23,14 +23,6 @@ from repro.synthesis.result import SynthesisStats
 _DEADLINE_STRIDE = 64
 
 
-def combination_count(edge_paths: Sequence[Sequence[CandidatePath]]) -> int:
-    """``∏ |paths(e)|`` — the paper's combination count (Table III)."""
-    total = 1
-    for paths in edge_paths:
-        total *= len(paths)
-    return total
-
-
 def iter_combinations(
     edge_paths: Sequence[Sequence[CandidatePath]],
 ) -> Iterator[Tuple[CandidatePath, ...]]:
@@ -74,14 +66,6 @@ def resolve_endpoints(
             elif seen.node_id != cand.node_id:
                 return None
     return resolved
-
-
-def endpoints_consistent(
-    combo: Sequence[CandidatePath],
-    edge_nodes: Sequence[Tuple[Optional[int], Optional[int]]],
-) -> bool:
-    """Boolean view of :func:`resolve_endpoints`."""
-    return resolve_endpoints(combo, edge_nodes) is not None
 
 
 def merge_combination(combo: Sequence[CandidatePath]) -> Optional[CGT]:

@@ -14,12 +14,9 @@ grammar root" — which is exactly the path blow-up Table III quantifies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.baseline.enumeration import (
-    combination_count,
-    enumerate_best_cgt,
-)
+from repro.baseline.enumeration import enumerate_best_cgt
 from repro.core.cgt import CGT
 from repro.errors import SynthesisError, SynthesisTimeout
 from repro.synthesis.deadline import Deadline
@@ -98,16 +95,3 @@ class HISynEngine:
                 f"({stats.n_combinations} combinations examined)"
             )
         return best
-
-    # ------------------------------------------------------------------
-
-    def worst_case_combinations(self, problem: SynthesisProblem) -> int:
-        """``∏ |paths(e)|`` for reporting (Table III's "# of comb.")."""
-        lists: List[Sequence[CandidatePath]] = [problem.root_paths]
-        orphans = set(problem.orphan_nodes())
-        for edge in problem.dep_graph.edges():
-            if edge.dep in orphans:
-                lists.append(problem.start_attach_paths(edge.dep))
-            else:
-                lists.append(problem.paths_of(edge))
-        return combination_count(lists)

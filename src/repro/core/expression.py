@@ -24,6 +24,7 @@ from typing import Dict, List, Set, Tuple
 from repro.errors import SynthesisError
 from repro.core.cgt import CGT
 from repro.grammar.graph import GrammarGraph, NodeKind
+from repro.grammar.interning import interner_for
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def validate_expression(expr: Expr, graph: GrammarGraph) -> List[str]:
     if not graph.has_api(expr.name):
         return [f"unknown API {expr.name!r}"]
     top_id = graph.api_node(expr.name).node_id
-    if top_id not in graph.descendants(graph.start_id):
+    if not interner_for(graph).reaches(graph.start_id, top_id):
         problems.append(f"API {expr.name!r} not derivable from grammar start")
 
     def walk(node: Expr) -> None:

@@ -32,7 +32,7 @@ def candidate_governors(
     """Dependency nodes whose candidate APIs are grammar-graph ancestors of
     some candidate of the orphan.  Ordered root-ward first (shallowest
     depth), then by node id, for determinism."""
-    graph = problem.domain.graph
+    reaches = problem.cache.interner.reaches
     dep = problem.dep_graph
     orphan_targets = [c.node_id for c in problem.candidates.get(orphan, ())]
     excluded = dep.descendants(orphan) | {orphan}
@@ -44,9 +44,7 @@ def candidate_governors(
         for gov_cand in problem.candidates.get(nid, ()):
             if gov_cand.is_literal:
                 continue
-            if any(
-                graph.is_ancestor(gov_cand.node_id, t) for t in orphan_targets
-            ):
+            if any(reaches(gov_cand.node_id, t) for t in orphan_targets):
                 found.append(nid)
                 break
     found.sort(key=lambda n: (dep.depth(n), n))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import GrammarError
 from repro.grammar.cfg import Grammar
@@ -131,8 +131,6 @@ class GrammarGraph:
         self._or_groups: Dict[str, List[str]] = {}
         self._head_args: Dict[str, List[str]] = {}
         self._build()
-        self._descendants_cache: Dict[str, FrozenSet[str]] = {}
-        self._distance_cache: Dict[str, Dict[str, int]] = {}
         self.start_id = nonterminal_id(grammar.start)
 
     # ------------------------------------------------------------------
@@ -284,69 +282,6 @@ class GrammarGraph:
     @property
     def n_edges(self) -> int:
         return len(self._edges)
-
-    # ------------------------------------------------------------------
-    # Reachability (cycle-safe, memoized)
-    # ------------------------------------------------------------------
-
-    def descendants(self, node_id: str) -> FrozenSet[str]:
-        """All nodes reachable from ``node_id`` (excluding itself unless on a
-        cycle through it)."""
-        cached = self._descendants_cache.get(node_id)
-        if cached is not None:
-            return cached
-        seen: Set[str] = set()
-        frontier = [e.dst for e in self._succ.get(node_id, ())]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(e.dst for e in self._succ.get(current, ()))
-        result = frozenset(seen)
-        self._descendants_cache[node_id] = result
-        return result
-
-    def distances_from(self, node_id: str) -> Dict[str, int]:
-        """Shortest-path edge distance from ``node_id`` to every reachable
-        node (memoized BFS).  The path search uses this to prune its reverse
-        DFS: a predecessor is only worth visiting when the source can still
-        reach it within the remaining length budget."""
-        cached = self._distance_cache.get(node_id)
-        if cached is not None:
-            return cached
-        dist: Dict[str, int] = {node_id: 0}
-        frontier = [node_id]
-        depth = 0
-        while frontier:
-            depth += 1
-            next_frontier: List[str] = []
-            for current in frontier:
-                for edge in self._succ.get(current, ()):
-                    if edge.dst not in dist:
-                        dist[edge.dst] = depth
-                        next_frontier.append(edge.dst)
-            frontier = next_frontier
-        self._distance_cache[node_id] = dist
-        return dist
-
-    def is_ancestor(self, ancestor_id: str, descendant_id: str) -> bool:
-        """True when ``descendant_id`` is reachable from ``ancestor_id``.
-
-        This is the relation orphan node relocation (Sec. V-B) consults: an
-        orphan's API must be a grammar-graph descendant of its adopted
-        governor's API.
-        """
-        return descendant_id in self.descendants(ancestor_id)
-
-    def api_ancestors_of(self, api_name: str) -> List[str]:
-        """Names of APIs that are grammar-graph ancestors of ``api_name``."""
-        target = api_id(api_name)
-        out = []
-        for node in self.api_nodes():
-            if node.node_id != target and self.is_ancestor(node.node_id, target):
-                out.append(node.label)
-        return sorted(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GrammarGraph(|V|={self.n_nodes}, |E|={self.n_edges})"

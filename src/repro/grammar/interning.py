@@ -228,6 +228,20 @@ class GraphInterner:
             self._dist_memo[src_int] = cached
         return cached
 
+    def reaches(self, src_id: str, dst_id: str) -> bool:
+        """True when a path of at least one edge leads from node
+        ``src_id`` to node ``dst_id`` — so a node reaches itself only
+        through a cycle.  Orphan relocation (Sec. V-B) asks this of
+        grammar ancestry; unknown ids reach nothing."""
+        src = self.index.get(src_id)
+        dst = self.index.get(dst_id)
+        if src is None or dst is None:
+            return False
+        dist = self.dist_from(src)
+        if src != dst:
+            return dist[dst] > 0
+        return any(dist[pred] >= 0 for pred in self.preds[src])
+
     def sorted_preds(
         self, src_int: int
     ) -> Callable[[int], Tuple[Tuple[int, ...], Tuple[int, ...]]]:

@@ -47,9 +47,9 @@ them as flat arrays:
     encodings, sizes, owning pairs, and each pair's kept paths lightest
     first, built by :class:`~repro.synthesis.problem.SynthesisProblem`.
     Literal variants of a query resolve to the same endpoints, so they
-    skip the cap's sort, the decoding and the relabeling.  A fixed size, no
-    environment override, never persisted and not part of
-    :meth:`snapshot`.
+    skip the pair lookups in ``paths``, the cap's sort, the decoding and
+    the relabeling.  A fixed size, no environment override, never
+    persisted and not part of :meth:`snapshot`.
 
 Every layer is a bounded LRU with hit/miss/eviction counters (surfaced via
 :meth:`snapshot` and, per query, in

@@ -12,6 +12,7 @@ from typing import Iterable, List, Optional
 
 from repro.core.cgt import CGT
 from repro.grammar.graph import EdgeKind, GrammarGraph, NodeKind
+from repro.grammar.interning import interner_for
 from repro.nlp.dependency import DependencyGraph
 
 _SHAPES = {
@@ -42,10 +43,13 @@ def grammar_graph_to_dot(
     ``roots``).  API nodes are red boxes, "or" edges hollow-headed — the
     paper's Fig. 4(a) conventions."""
     if roots is not None:
+        interner = interner_for(graph)
         keep = set()
         for root in roots:
             keep.add(root)
-            keep |= graph.descendants(root)
+            keep.update(
+                n for n in interner.node_ids if interner.reaches(root, n)
+            )
     else:
         keep = {n.node_id for n in graph.nodes()}
     if len(keep) > max_nodes:

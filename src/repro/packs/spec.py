@@ -116,6 +116,8 @@ class PackSpec:
     literal_targets: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     pruning: Dict[str, Any] = field(default_factory=dict)
     examples: List[QueryCase] = field(default_factory=list)
+    #: Example id -> its line in the examples file.
+    example_lines: Dict[str, int] = field(default_factory=dict)
     content_hash: str = ""
     files: Tuple[str, ...] = ()
 
@@ -652,6 +654,7 @@ class _Reader:
                 )
                 continue
             seen_queries[obj["query"]] = line_no
+            spec.example_lines[case_id] = line_no
             spec.examples.append(
                 QueryCase(
                     case_id=case_id,
@@ -722,20 +725,19 @@ def _semantic_issues(spec: PackSpec) -> List[PackIssue]:
         from repro.core.expression import parse_expression, validate_expression
 
         example_file = spec.examples_file
-        line_by_id = _example_lines(spec)
         for case in spec.examples:
             try:
                 expr = parse_expression(case.ground_truth)
             except ReproError as exc:
                 issues.append(PackIssue(
-                    example_file, line_by_id.get(case.case_id),
+                    example_file, spec.example_lines.get(case.case_id),
                     f"example {case.case_id!r} ground truth does not "
                     f"parse: {exc}",
                 ))
                 continue
             for problem in validate_expression(expr, domain.graph):
                 issues.append(PackIssue(
-                    example_file, line_by_id.get(case.case_id),
+                    example_file, spec.example_lines.get(case.case_id),
                     f"example {case.case_id!r} ground truth is not "
                     f"grammar-valid: {problem}",
                 ))
@@ -756,7 +758,6 @@ def _executor_replay_issues(spec: PackSpec, domain) -> List[PackIssue]:
         return issues
     executor = get_executor(spec.name)
     example_file = spec.examples_file
-    line_by_id = _example_lines(spec)
     for case in spec.examples:
         if case.example_input is None or case.example_output is None:
             continue
@@ -764,40 +765,19 @@ def _executor_replay_issues(spec: PackSpec, domain) -> List[PackIssue]:
             observed = executor(case.ground_truth, case.example_input)
         except Exception as exc:  # noqa: BLE001 - any failure is an issue
             issues.append(PackIssue(
-                example_file, line_by_id.get(case.case_id),
+                example_file, spec.example_lines.get(case.case_id),
                 f"example {case.case_id!r} ground truth fails to execute "
                 f"on its input: {type(exc).__name__}: {exc}",
             ))
             continue
         if observed != case.example_output:
             issues.append(PackIssue(
-                example_file, line_by_id.get(case.case_id),
+                example_file, spec.example_lines.get(case.case_id),
                 f"example {case.case_id!r} ground truth does not "
                 f"reproduce its output: expected "
                 f"{case.example_output!r}, observed {observed!r}",
             ))
     return issues
-
-
-def _example_lines(spec: PackSpec) -> Dict[str, int]:
-    """Best-effort map of example id -> line in the examples file."""
-    path = spec.root / spec.examples_file
-    out: Dict[str, int] = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return out
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(obj, dict) and isinstance(obj.get("id"), str):
-            out.setdefault(obj["id"], line_no)
-    return out
 
 
 # ---------------------------------------------------------------------------

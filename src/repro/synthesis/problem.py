@@ -120,7 +120,6 @@ class SynthesisProblem:
         candidates: Mapping[int, List[EndpointCandidate]],
         limits: Optional[PathSearchLimits] = None,
         deadline=None,
-        path_cache: Optional[Dict[Tuple[str, str], PairPaths]] = None,
         cache: Optional[PathCache] = None,
     ):
         self.domain = domain
@@ -135,13 +134,6 @@ class SynthesisProblem:
         }
         self.limits = limits or domain.path_limits
         self.deadline = deadline
-        # (src, dst) -> raw (encodings, sizes).  A per-problem overlay
-        # (shared with relocation variants) over the domain-wide LRU in
-        # ``self.cache``: the overlay needs no locking and no limits in
-        # its key; the domain cache persists pair results across queries.
-        self._path_cache: Dict[Tuple[str, str], PairPaths] = (
-            path_cache if path_cache is not None else {}
-        )
         #: Dependency edges numbered so far (the paper's ``<edge>``).
         self.n_edges = 0
         self.edge_paths: Dict[EdgeKey, List[CandidatePath]] = {}
@@ -164,15 +156,10 @@ class SynthesisProblem:
             # dependency edge must correspond to a non-trivial grammar
             # relation.
             return _NO_PATHS
-        key = (src.node_id, dst.node_id)
-        raw = self._path_cache.get(key)
-        if raw is None:
-            on_miss = self.deadline.check if self.deadline is not None else None
-            raw = self.cache.find_paths(
-                src.node_id, dst.node_id, self.limits, on_miss=on_miss
-            )
-            self._path_cache[key] = raw
-        return raw
+        on_miss = self.deadline.check if self.deadline is not None else None
+        return self.cache.find_paths(
+            src.node_id, dst.node_id, self.limits, on_miss=on_miss
+        )
 
     def _register(
         self, pairs: List[Tuple[EndpointCandidate, EndpointCandidate]]
@@ -182,13 +169,10 @@ class SynthesisProblem:
         (weighted size, then length; stable on discovery order), with ids
         from :meth:`PathCatalog.label` — and the same paths grouped by
         pair, each group lightest first."""
-        # Looked up even when the memo below hits: a lookup is cheap, and
-        # it keeps the paths layer's counters and the overlay that
-        # relocation variants share what they were without the memo.
-        raws = [self._raw_paths(src, dst) for src, dst in pairs]
         # Which paths survive the cap, and their labels, depend only on
         # the endpoint node ids and the edge's number, so literal
-        # variants of one query share them.
+        # variants of one query share them, and a memo hit needs no
+        # pair's paths.
         self.n_edges += 1
         edge = self.n_edges
         key = (
@@ -198,7 +182,10 @@ class SynthesisProblem:
         )
         labeled, encs, sizes, owners, lightest = (
             self.cache.edges.get_or_compute(
-                key, lambda: self._select(raws, edge)
+                key,
+                lambda: self._select(
+                    [self._raw_paths(src, dst) for src, dst in pairs], edge
+                ),
             )
         )
         cands = [
@@ -334,7 +321,6 @@ class SynthesisProblem:
             kept,
             self.limits,
             self.deadline,
-            path_cache=self._path_cache,
             cache=self.cache,
         )
 

@@ -103,9 +103,6 @@ def _without_candidate(
         {**problem.candidates, node_id: remaining},
         limits,
         problem.deadline,
-        # Safe to share across limits: the overlay holds *raw* (uncapped)
-        # pair results; per-edge caps are applied per problem.
-        path_cache=problem._path_cache,
         cache=problem.cache,
     )
 

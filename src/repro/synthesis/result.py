@@ -91,14 +91,6 @@ class SynthesisStats:
         for name in self.CACHE_FIELDS:
             setattr(self, name, 0)
 
-    def merge_from(self, other: "SynthesisStats") -> None:
-        """Accumulate a per-variant stats record into this one."""
-        self.n_combinations += other.n_combinations
-        self.pruned_by_grammar += other.pruned_by_grammar
-        self.pruned_by_size += other.pruned_by_size
-        self.n_merged += other.n_merged
-        self.n_valid_cgts += other.n_valid_cgts
-
     def as_dict(self) -> Dict[str, int]:
         out = {
             "dep_edges": self.n_dep_edges,

@@ -46,6 +46,43 @@ def encode(graph, nodes):
     return tuple(index[node] for node in nodes)
 
 
+def bfs_distances(graph, src):
+    """Reference BFS over the graph's own edges: node id -> shortest
+    edge count from ``src``, for every node ``src`` reaches (``src``
+    itself at 0)."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge in graph.successors(node):
+                if edge.dst not in dist:
+                    dist[edge.dst] = dist[node] + 1
+                    nxt.append(edge.dst)
+        frontier = nxt
+    return dist
+
+
+def successor_sets(graph):
+    """Node id -> the set of its successors' ids."""
+    return {
+        node.node_id: {edge.dst for edge in graph.successors(node.node_id)}
+        for node in graph.nodes()
+    }
+
+
+def descendants(succs, src):
+    """Reference reachability over :func:`successor_sets`: every node at
+    the end of a path of at least one edge from ``src`` (``src`` itself
+    only when a cycle returns to it)."""
+    seen = set()
+    frontier = succs[src]
+    while frontier:
+        seen |= frontier
+        frontier = set().union(*(succs[node] for node in frontier)) - seen
+    return seen
+
+
 def candidate_path(graph, path, src_cand, dst_cand):
     """A ``CandidatePath`` over ``path`` with the encoding and size that
     ``SynthesisProblem`` gives its paths."""

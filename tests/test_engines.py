@@ -136,11 +136,6 @@ class TestHisynBasics:
                 deadline=Deadline(1e-9),
             )
 
-    def test_worst_case_combinations(self, toy_domain):
-        engine = HISynEngine()
-        prob = build_problem(toy_domain, 'insert ":" into lines')
-        assert engine.worst_case_combinations(prob) > 0
-
 
 class TestObjective:
     def test_smallest_cgt_wins(self, toy_domain):

@@ -12,6 +12,7 @@ from repro.grammar.graph import (
     literal_id,
     nonterminal_id,
 )
+from repro.grammar.interning import interner_for
 
 
 class TestConstruction:
@@ -60,29 +61,41 @@ class TestConstruction:
 
 class TestQueries:
     def test_descendants(self, toy_graph):
-        desc = toy_graph.descendants(api_id("INSERT"))
-        assert api_id("LINESCOPE") in desc
-        assert api_id("DELETE") not in desc
+        interner = interner_for(toy_graph)
+        assert interner.reaches(api_id("INSERT"), api_id("LINESCOPE"))
+        assert not interner.reaches(api_id("INSERT"), api_id("DELETE"))
 
     def test_is_ancestor(self, toy_graph):
-        assert toy_graph.is_ancestor(api_id("INSERT"), api_id("CONTAINS"))
-        assert not toy_graph.is_ancestor(api_id("LINESCOPE"), api_id("INSERT"))
+        interner = interner_for(toy_graph)
+        assert interner.reaches(api_id("INSERT"), api_id("CONTAINS"))
+        assert not interner.reaches(api_id("LINESCOPE"), api_id("INSERT"))
+        # Acyclic: no node reaches itself.
+        assert not interner.reaches(api_id("INSERT"), api_id("INSERT"))
 
     def test_api_ancestors_of(self, toy_graph):
-        ancestors = toy_graph.api_ancestors_of("LINESCOPE")
+        interner = interner_for(toy_graph)
+        ancestors = {
+            n.label
+            for n in toy_graph.api_nodes()
+            if interner.reaches(n.node_id, api_id("LINESCOPE"))
+        }
         assert "INSERT" in ancestors
         assert "ITERATIONSCOPE" in ancestors
         assert "STRING" not in ancestors
 
     def test_distances_from(self, toy_graph):
-        dist = toy_graph.distances_from(toy_graph.start_id)
-        assert dist[toy_graph.start_id] == 0
-        assert dist[nonterminal_id("insert_cmd")] == 1
-        # unreachable-from-API nodes are absent
-        assert toy_graph.start_id not in toy_graph.distances_from(api_id("STRING"))
+        interner = interner_for(toy_graph)
+        index = interner.index
+        dist = interner.dist_from(interner.start)
+        assert dist[interner.start] == 0
+        assert dist[index[nonterminal_id("insert_cmd")]] == 1
+        # unreachable nodes read -1
+        assert interner.dist_from(index[api_id("STRING")])[interner.start] == -1
 
     def test_distances_cached_identity(self, toy_graph):
-        assert toy_graph.distances_from(api_id("INSERT")) is toy_graph.distances_from(api_id("INSERT"))
+        interner = interner_for(toy_graph)
+        src = interner.index[api_id("INSERT")]
+        assert interner.dist_from(src) is interner.dist_from(src)
 
     def test_api_weight_default(self, toy_graph):
         assert toy_graph.api_weight(api_id("INSERT")) == 1

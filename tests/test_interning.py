@@ -23,7 +23,11 @@ from repro.core.grammar_pruning import conflict_masks_for
 from repro.domains import load_domain
 from repro.errors import CacheSnapshotError, SynthesisError
 from repro.grammar.graph import NodeKind, api_id
-from repro.grammar.interning import SENTINEL_DIST, interner_for
+from repro.grammar.interning import (
+    SENTINEL_DIST,
+    GraphInterner,
+    interner_for,
+)
 from repro.grammar.path_cache import (
     SNAPSHOT_FORMAT_VERSION,
     PathCache,
@@ -37,7 +41,12 @@ from repro.synthesis.problem import (
     EndpointCandidate,
     build_problem,
 )
-from tests.conftest import encode
+from tests.conftest import (
+    bfs_distances,
+    descendants,
+    encode,
+    successor_sets,
+)
 from tests.data.make_paths_golden import (
     SUITES,
     TOY_LIMITS,
@@ -172,9 +181,27 @@ class TestSearchIdentity:
         interner = interner_for(graph)
         for src, node_id in enumerate(interner.node_ids):
             expected = [-1] * interner.n
-            for other, d in graph.distances_from(node_id).items():
+            for other, d in bfs_distances(graph, node_id).items():
                 expected[interner.index[other]] = d
             assert interner.dist_from(src) == expected
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_reaches_matches_graph_bfs(self, suite):
+        """``reaches`` over every ordered node pair, self pairs included:
+        a node reaches itself only through a cycle."""
+        graph = load_domain(suite).graph
+        interner = GraphInterner(graph)  # its memos go with the test
+        succs = successor_sets(graph)
+        node_ids = interner.node_ids
+        cyclic = 0
+        for src in node_ids:
+            expected = descendants(succs, src)
+            got = {dst for dst in node_ids if interner.reaches(src, dst)}
+            assert got == expected, src
+            cyclic += src in got
+        if suite == "astmatcher":
+            assert cyclic == 776
+        assert not interner.reaches(node_ids[0], "api:noSuchApi")
 
     def test_sentinel_terminates_rows(self, toy_graph):
         interner = interner_for(toy_graph)

@@ -4,7 +4,6 @@ enumeration internals, lexicon, path-voted graph, synthetic workloads."""
 import pytest
 
 from repro.baseline.enumeration import (
-    combination_count,
     iter_combinations,
     merge_combination,
     resolve_endpoints,
@@ -57,16 +56,6 @@ class TestSynthesisStats:
         assert {"dep_edges", "combinations", "pruned_grammar",
                 "pruned_size", "merged", "orphans"} <= keys
 
-    def test_merge_from_accumulates(self):
-        a = SynthesisStats(n_combinations=5, pruned_by_grammar=2, n_merged=3)
-        b = SynthesisStats(n_combinations=7, pruned_by_size=1, n_valid_cgts=2)
-        a.merge_from(b)
-        assert a.n_combinations == 12
-        assert a.pruned_by_grammar == 2
-        assert a.pruned_by_size == 1
-        assert a.n_merged == 3
-        assert a.n_valid_cgts == 2
-
 
 class TestEnumeration:
     def _cp(self, pid, src="a", dst="b"):
@@ -75,11 +64,6 @@ class TestEnumeration:
             EndpointCandidate(node_id=f"api:{src}", api_name=src),
             EndpointCandidate(node_id=f"api:{dst}", api_name=dst),
         )
-
-    def test_combination_count(self):
-        lists = [[self._cp("1.1"), self._cp("1.2")], [self._cp("2.1")]]
-        assert combination_count(lists) == 2
-        assert combination_count([]) == 1
 
     def test_iter_combinations_odometer_order(self):
         lists = [

@@ -25,6 +25,7 @@ from repro.grammar.bnf import parse_bnf
 from repro.grammar.graph import GrammarGraph, api_id, nonterminal_id
 from repro.grammar.interning import interner_for
 from repro.grammar.paths import PathSearchLimits, _search_enc, find_paths
+from tests.conftest import bfs_distances
 from tests.data.make_paths_golden import record
 
 PATHS_GOLDEN = Path(__file__).parent / "data" / "paths_golden.jsonl"
@@ -36,7 +37,7 @@ def reference_paths(graph, src, dst, limits):
     Returns ``(paths, weights, visits)``: the node tuples ``src -> ...
     -> dst`` the search keeps, in DFS order, their interior weights, and
     the visits it made."""
-    dist = graph.distances_from(src)
+    dist = bfs_distances(graph, src)
     if dst not in dist:
         return [], [], 0
     found = []  # (interior weight, node count, DFS index, path)
@@ -131,7 +132,7 @@ def endpoints(graph):
     @st.composite
     def pair(draw):
         src = draw(st.sampled_from(node_ids))
-        dist = graph.distances_from(src)
+        dist = bfs_distances(graph, src)
         reached = sorted(set(dist) - {src}, key=lambda n: (dist[n], n))
         if reached and draw(st.booleans()):
             return src, draw(st.sampled_from(reached[-(len(reached) + 2) // 3:]))

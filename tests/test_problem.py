@@ -162,6 +162,19 @@ class TestEdgeMemo:
             domain.path_limits.search_key()
         }
 
+    def test_warm_registration_makes_no_pair_lookups(self, toy_domain):
+        """An ``edges`` memo hit needs no pair's paths: a literal variant
+        of a built query reads the ``paths`` layer not at all."""
+        toy_domain.path_cache.clear()
+        build_problem(toy_domain, 'insert ":" into lines containing numbers')
+        cache = toy_domain.path_cache
+        paths = (cache.paths.hits, cache.paths.misses)
+        edge_hits, edge_misses = cache.edges.hits, cache.edges.misses
+        build_problem(toy_domain, 'insert "-" into lines containing numbers')
+        assert cache.edges.hits > edge_hits
+        assert cache.edges.misses == edge_misses
+        assert (cache.paths.hits, cache.paths.misses) == paths
+
 
 class TestEncodings:
     """Paths stay int encodings from the search to the DP; strings and
@@ -199,7 +212,9 @@ class TestEncodings:
         prob = _capped(full)
         kept = [cp.enc for paths, _groups in self._edges(prob) for cp in paths]
         raw = {
-            enc for encs, _sizes in prob._path_cache.values() for enc in encs
+            enc
+            for _key, (encs, _sizes) in prob.cache.paths.items()
+            for enc in encs
         }
         assert raw - set(kept), "the cap should drop some paths"
         assert sorted(decoded) == sorted(kept)
@@ -248,8 +263,10 @@ class TestOrphans:
 class TestWithDepGraph:
     def test_rebuild_shares_path_cache(self, toy_domain):
         prob = build_problem(toy_domain, "insert a string containing numbers")
+        misses = prob.cache.paths.misses
         clone = prob.with_dep_graph(prob.dep_graph.copy())
-        assert clone._path_cache is prob._path_cache
+        assert clone.cache is prob.cache
+        assert prob.cache.paths.misses == misses
         assert clone.total_paths() == prob.total_paths()
 
     def test_rebuild_after_reattach(self, toy_domain):
